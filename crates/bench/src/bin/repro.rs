@@ -69,7 +69,7 @@
 //!
 //! Each invocation also writes `BENCH_repro.json` to the working
 //! directory: wall-clock seconds per artifact, thread count, and the
-//! process-wide extraction-cache hit rate.
+//! process-wide host cache's counters and hit rate.
 
 use amada_bench::experiments as exp;
 use amada_bench::Scale;
@@ -303,7 +303,7 @@ fn write_report(
     threads: usize,
     scale: &Scale,
 ) -> std::io::Result<&'static str> {
-    let stats = amada_index::cache::global_stats();
+    let stats = amada_index::ExtractCache::shared().stats();
     let mut json = String::from("{\n");
     json.push_str("  \"schema\": \"amada-bench-repro/1\",\n");
     json.push_str(&format!("  \"threads\": {threads},\n"));
@@ -326,8 +326,14 @@ fn write_report(
     };
     json.push_str(&format!(
         "  \"cache\": {{ \"parse_hits\": {}, \"parse_misses\": {}, \"extract_hits\": {}, \
-         \"extract_misses\": {}, \"hit_rate\": {} }},\n",
-        stats.parse_hits, stats.parse_misses, stats.extract_hits, stats.extract_misses, hit_rate
+         \"extract_misses\": {}, \"eval_hits\": {}, \"eval_misses\": {}, \"hit_rate\": {} }},\n",
+        stats.parse_hits,
+        stats.parse_misses,
+        stats.extract_hits,
+        stats.extract_misses,
+        stats.eval_hits,
+        stats.eval_misses,
+        hit_rate
     ));
     // Zero when the `trace` artifact was not selected.
     json.push_str(&format!(

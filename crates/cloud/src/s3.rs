@@ -13,6 +13,7 @@ use crate::obs::{Outcome, Recorder, ServiceKind, Span};
 use crate::service::ServiceQueue;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Errors from the file store.
@@ -54,6 +55,46 @@ pub trait ObjectPredicate {
     fn filter(&self, bytes: &[u8]) -> Vec<u8>;
 }
 
+/// FNV-1a over `bytes` — cheap and deterministic; the store's ETag.
+pub fn content_hash(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+/// A stored object: its bytes and its ETag, the [`content_hash`] the
+/// store computed once when the object was put. Dereferences to the
+/// bytes, so readers that want only the content never see the tag.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Object {
+    bytes: Vec<u8>,
+    etag: u64,
+}
+
+impl Object {
+    /// Wraps `bytes`, hashing them once.
+    pub fn new(bytes: Vec<u8>) -> Object {
+        let etag = content_hash(&bytes);
+        Object { bytes, etag }
+    }
+
+    /// The content hash of the bytes: objects with equal bytes have
+    /// equal tags.
+    pub fn etag(&self) -> u64 {
+        self.etag
+    }
+}
+
+impl Deref for Object {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
 /// Server-side scan rate: storage-local filtering runs at storage
 /// bandwidth, well above the 25 MB/s per-connection transfer pipe.
 const SCAN_BYTES_PER_SEC: f64 = 100.0 * 1024.0 * 1024.0;
@@ -89,7 +130,7 @@ pub struct S3Stats {
 
 /// The simulated file store.
 pub struct S3 {
-    buckets: HashMap<String, HashMap<String, Arc<Vec<u8>>>>,
+    buckets: HashMap<String, HashMap<String, Arc<Object>>>,
     stats: S3Stats,
     transfer: ServiceQueue,
     faults: FaultInjector,
@@ -163,7 +204,8 @@ impl S3 {
         self.buckets.entry(name.to_string()).or_default();
     }
 
-    /// Stores an object, replacing any previous version.
+    /// Stores an object, replacing any previous version. The object's
+    /// ETag is computed here, once.
     pub fn put(
         &mut self,
         now: SimTime,
@@ -182,7 +224,7 @@ impl S3 {
         let b = self.buckets.get_mut(bucket).expect("checked above");
         let len = data.len() as u64;
         self.stats.bytes_in += len;
-        if let Some(old) = b.insert(key.to_string(), Arc::new(data)) {
+        if let Some(old) = b.insert(key.to_string(), Arc::new(Object::new(data))) {
             self.stats.stored_bytes -= old.len() as u64;
         }
         self.stats.stored_bytes += len;
@@ -229,7 +271,8 @@ impl S3 {
         Ok(end)
     }
 
-    /// Retrieves an object (shared, zero-copy for the simulation host).
+    /// Retrieves an object with its ETag (shared, zero-copy for the
+    /// simulation host).
     ///
     /// A `NoSuchKey` miss is still a billed GET — real S3 charges for the
     /// request whether or not the object exists. Only `NoSuchBucket` is
@@ -241,7 +284,7 @@ impl S3 {
         now: SimTime,
         bucket: &str,
         key: &str,
-    ) -> Result<(Arc<Vec<u8>>, SimTime), S3Error> {
+    ) -> Result<(Arc<Object>, SimTime), S3Error> {
         if !self.buckets.contains_key(bucket) {
             return Err(S3Error::NoSuchBucket(bucket.to_string()));
         }
@@ -357,11 +400,11 @@ impl S3 {
     /// Host-side snapshot of a bucket's objects, in key order. No request
     /// is billed and no virtual time passes — this exists for the host's
     /// cache-prewarm stage, which must not perturb the simulation.
-    pub fn peek_all(&self, bucket: &str) -> Vec<(String, Arc<Vec<u8>>)> {
+    pub fn peek_all(&self, bucket: &str) -> Vec<(String, Arc<Object>)> {
         let Some(b) = self.buckets.get(bucket) else {
             return Vec::new();
         };
-        let mut objects: Vec<(String, Arc<Vec<u8>>)> =
+        let mut objects: Vec<(String, Arc<Object>)> =
             b.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
         objects.sort_by(|(a, _), (b, _)| a.cmp(b));
         objects
@@ -371,7 +414,7 @@ impl S3 {
     /// is billed and no virtual time passes — the front end uses this to
     /// capture the *old* version of a document before a replace or delete
     /// destroys it, so stale index entries stay derivable.
-    pub fn peek(&self, bucket: &str, key: &str) -> Option<Arc<Vec<u8>>> {
+    pub fn peek(&self, bucket: &str, key: &str) -> Option<Arc<Object>> {
         self.buckets.get(bucket)?.get(key).cloned()
     }
 

@@ -45,23 +45,23 @@ use amada_cloud::{
 };
 use amada_index::{
     decode_tuples, lookup_mixed, lookup_query, partition_of, partition_tables, retarget_entries,
-    store::UuidGen, ExtractCache, ExtractOptions, ItemKey, MixedPlan, ScanPredicate, Strategy,
+    store::UuidGen, Evaluation, ExtractCache, ExtractOptions, ItemKey, MixedPlan, PatternKey,
+    ScanPredicate, Strategy,
 };
-use amada_pattern::{evaluate_pattern_twig, join_pattern_results, parse_query, Query, Tuple};
+use amada_pattern::{join_pattern_results, parse_query, EvalStats, Query, Tuple};
 use amada_rng::StdRng;
-use amada_xml::Document;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Host-side cache of parsed documents and memoized extraction results,
-/// keyed by URI and validated by a content hash computed once per upload,
-/// so that re-uploading a changed document under the same URI is
-/// re-parsed (virtual time still charges every parse and extraction —
-/// cloud instances are stateless across tasks; the cache only spares the
-/// simulation host). Sharded and `Send + Sync`: the warehouse prewarms it
-/// across all host cores before the single-threaded engine runs.
+/// Host-side cache of parsed documents and memoized extraction and
+/// evaluation results, keyed by URI and the stored object's content hash,
+/// so a re-uploaded, changed document is re-parsed (virtual time still
+/// charges every parse, extraction and evaluation — cloud instances are
+/// stateless across tasks; the cache only spares the simulation host).
+/// Sharded and `Send + Sync`: the warehouse prewarms it across all host
+/// cores before the single-threaded engine runs.
 pub type DocCache = Arc<ExtractCache>;
 
 /// Stream-derivation tags for the per-core jitter RNGs, so loader and
@@ -993,7 +993,9 @@ impl QueryCore {
         // retry waits are serial work like the transfers they delay.
         let mut serial = SimDuration::ZERO;
         let mut fetched: BTreeSet<&String> = BTreeSet::new();
-        let mut per_pattern: Vec<Vec<Tuple>> = Vec::with_capacity(query.patterns.len());
+        // Per pattern, one shared evaluation per candidate document (one
+        // per pattern under pushdown); the join reads them in place.
+        let mut evaluations: Vec<Vec<Arc<Evaluation>>> = Vec::with_capacity(query.patterns.len());
         if self.strategy == Some(Strategy::LupPd) {
             // Pushdown: the post-filter runs *inside* the store. Each
             // candidate is scanned (per pattern — the predicate differs),
@@ -1028,10 +1030,10 @@ impl QueryCore {
                         decode_tuples(&bytes, uri).expect("store-encoded scan results decode"),
                     );
                 }
-                per_pattern.push(tuples);
+                evaluations.push(vec![Arc::new((tuples, EvalStats::default()))]);
             }
         } else {
-            let mut docs: HashMap<&String, Arc<Document>> = HashMap::new();
+            let mut objects = HashMap::new();
             for uris in &per_pattern_uris {
                 for uri in uris {
                     if !fetched.insert(uri) {
@@ -1055,20 +1057,27 @@ impl QueryCore {
                     self.attempt = 0;
                     serial += resp - t;
                     serial += world.work.parse(bytes.len() as u64, self.ecu);
-                    docs.insert(uri, self.cache.parsed(uri, &bytes));
+                    objects.insert(uri, bytes);
                 }
             }
+            // The evaluations are memoized on the host; each one is still
+            // charged its full virtual cost.
             for (p, uris) in query.patterns.iter().zip(&per_pattern_uris) {
-                let mut tuples = Vec::new();
-                for uri in uris {
-                    let doc = &docs[uri];
-                    let (t_p, stats) = evaluate_pattern_twig(doc, p);
-                    serial += world.work.eval(stats.candidates, self.ecu);
-                    tuples.extend(t_p);
+                let key = PatternKey::new(p);
+                let evals: Vec<Arc<Evaluation>> = uris
+                    .iter()
+                    .map(|uri| self.cache.evaluated(uri, &objects[uri], &key))
+                    .collect();
+                for e in &evals {
+                    serial += world.work.eval(e.1.candidates, self.ecu);
                 }
-                per_pattern.push(tuples);
+                evaluations.push(evals);
             }
         }
+        let per_pattern: Vec<Vec<&Tuple>> = evaluations
+            .iter()
+            .map(|evals| evals.iter().flat_map(|e| &e.0).collect())
+            .collect();
         let tuple_count: u64 = per_pattern.iter().map(|v| v.len() as u64).sum();
         let results = join_pattern_results(&query, &per_pattern);
         serial += world.work.plan(tuple_count, self.ecu);

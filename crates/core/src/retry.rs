@@ -26,7 +26,7 @@
 //! Every retry is a billed request: resilience shows up in the cost
 //! ledger as real dollars, which is the point of the fault experiment.
 
-use amada_cloud::{KvError, KvStore, S3Error, SimDuration, SimTime, Sqs, SqsError, S3};
+use amada_cloud::{KvError, KvStore, Object, S3Error, SimDuration, SimTime, Sqs, SqsError, S3};
 use amada_rng::StdRng;
 use std::sync::Arc;
 
@@ -355,7 +355,7 @@ pub fn frontend_get_object(
     now: SimTime,
     bucket: &str,
     key: &str,
-) -> (Arc<Vec<u8>>, SimTime) {
+) -> (Arc<Object>, SimTime) {
     let mut t = now;
     let mut attempt = 0u32;
     loop {

@@ -18,8 +18,8 @@ use crate::retry::{
     frontend_put_object, frontend_receive, frontend_send,
 };
 use amada_cloud::{
-    ActorTag, CostReport, CostSnapshot, Engine, Money, Phase, ServiceKind, SimDuration, SimTime,
-    Span, StorageCost, World,
+    ActorTag, CostReport, CostSnapshot, Engine, Money, Object, Phase, ServiceKind, SimDuration,
+    SimTime, Span, StorageCost, World,
 };
 use amada_index::{
     entry_item_keys, partition_of, retarget_entries, CacheStats, ExtractCache, ItemKey, MixedPlan,
@@ -292,23 +292,21 @@ impl Warehouse {
             // the overwrite destroys the only copy of its bytes (the
             // registry unions across repeated replaces, so intermediate
             // versions cannot leak entries), account for the replaced
-            // bytes, and keep the URI listed once. Must happen before
-            // `note_upload` rebinds the cache to the new content hash.
+            // bytes, and keep the URI listed once. The replaced version's
+            // host-cache entry goes too: nothing in this warehouse reads
+            // those bytes again.
             let replaced = self.engine.world.s3.peek(DOC_BUCKET, &uri);
             if let Some(old) = &replaced {
-                if **old != body {
+                if old[..] != body[..] {
                     let keys = self.item_keys_of(&uri, old);
                     self.retractions
                         .borrow_mut()
                         .entry(uri.clone())
                         .or_default()
                         .extend(keys);
+                    self.cache.forget(&uri, old.etag());
                 }
             }
-            // Hash the content once, here; every later cache probe for
-            // this URI compares against the recorded hash instead of
-            // re-hashing megabytes of XML per loader step.
-            self.cache.note_upload(&uri, &body);
             t = frontend_put_object(
                 &mut self.engine.world.s3,
                 &self.cfg.retry,
@@ -344,15 +342,15 @@ impl Warehouse {
     /// The index item keys the current configuration derives for this
     /// document content (host-side replay of the loader's deterministic
     /// encoding — no requests, no virtual time).
-    fn item_keys_of(&self, uri: &str, bytes: &[u8]) -> Vec<ItemKey> {
-        self.item_keys_under(self.cfg.mixed_plan.as_ref(), uri, bytes)
+    fn item_keys_of(&self, uri: &str, obj: &Object) -> Vec<ItemKey> {
+        self.item_keys_under(self.cfg.mixed_plan.as_ref(), uri, obj)
     }
 
     /// Like [`Warehouse::item_keys_of`] but under an explicit routing
     /// plan (`None` = the flat configured strategy into the global
     /// tables) — what [`Warehouse::apply_plan`] replays to find the *old*
     /// placement's keys before switching.
-    fn item_keys_under(&self, plan: Option<&MixedPlan>, uri: &str, bytes: &[u8]) -> Vec<ItemKey> {
+    fn item_keys_under(&self, plan: Option<&MixedPlan>, uri: &str, obj: &Object) -> Vec<ItemKey> {
         let strategy = match plan {
             Some(p) => match p.strategy_for_uri(uri) {
                 Some(s) => s,
@@ -361,7 +359,7 @@ impl Warehouse {
             },
             None => self.cfg.strategy,
         };
-        let (_doc, entries) = self.cache.extracted(uri, bytes, strategy, self.cfg.extract);
+        let (_doc, entries) = self.cache.extracted(uri, obj, strategy, self.cfg.extract);
         let profile = self.engine.world.kv.profile();
         if plan.is_some() {
             let mut routed = (*entries).clone();
@@ -596,8 +594,8 @@ impl Warehouse {
             .peek_all(DOC_BUCKET)
             .into_iter()
             .map(|(uri, bytes)| {
-                let xml = String::from_utf8(bytes.as_ref().clone())
-                    .expect("stored documents are UTF-8 XML");
+                let xml =
+                    String::from_utf8(bytes.to_vec()).expect("stored documents are UTF-8 XML");
                 (uri, xml)
             })
             .collect();

@@ -1,33 +1,39 @@
-//! Thread-safe host-side cache of parsed documents and extraction
-//! results.
+//! Thread-safe host-side memo of the CPU-heavy work the simulation
+//! repeats on stored documents: parsing, index extraction and tree-pattern
+//! evaluation.
 //!
-//! The discrete-event simulation charges *virtual* time for every parse
-//! and extraction a cloud instance performs — instances are stateless
-//! across tasks, exactly as in the paper. The *host* running the
+//! The discrete-event simulation charges *virtual* time for every parse,
+//! extraction and evaluation a cloud instance performs — instances are
+//! stateless across tasks, exactly as in the paper. The *host* running the
 //! simulation, however, sees the same document parsed and extracted once
-//! per strategy, per experiment, per repetition; this cache spares that
+//! per strategy, per experiment, per repetition, and the same pattern
+//! evaluated on it once per arrival of its query; this cache spares that
 //! redundant wall-clock work without touching a single virtual-time
 //! charge.
 //!
 //! Design:
 //!
+//! * **Keyed by `(URI, content hash)`.** The hash is the stored object's
+//!   ETag ([`Object::etag`]), computed once when the object was put, so a
+//!   probe never rehashes bytes. Two warehouses that store different
+//!   bodies under one URI get two entries and never see each other's
+//!   work. The URI stays in the key because parsing records it and every
+//!   evaluated [`Tuple`] carries it: equal bytes stored under two URIs
+//!   must not share an entry.
+//! * **Three memo levels.** Each entry holds the parsed [`Document`], the
+//!   extraction output per `(Strategy, ExtractOptions)` — a loader core's
+//!   CPU-heavy step — and the twig evaluation `(tuples, EvalStats)` per
+//!   pattern, keyed by the pattern's canonical `Display` text (which the
+//!   pattern parser inverts, so equal texts mean equal patterns) — a query
+//!   processor's CPU-heavy step.
 //! * **Sharded.** `SHARDS` independent `Mutex<HashMap>` shards keyed by a
 //!   hash of the URI, so the parallel prewarm stage
-//!   ([`crate::parallel::prewarm`]) and any future concurrent consumers
-//!   do not serialize on one lock.
-//! * **Two-level memoization.** Each document entry holds the parsed
-//!   [`Document`] *and* the extraction output per `(Strategy,
-//!   ExtractOptions)` — a loader core's entire CPU-heavy step becomes two
-//!   map probes.
-//! * **Hash once per upload.** Validating a cached parse against the
-//!   stored bytes used to re-FNV the full document on every loader step.
-//!   [`ExtractCache::note_upload`] computes the content hash once, when
-//!   the warehouse stores the object; later probes compare the cached
-//!   entry's hash against that *expected* hash without touching the
-//!   bytes. Callers that bypass the upload path still get the hashing
-//!   fallback.
+//!   ([`crate::parallel::prewarm`]) and concurrent warehouses on other
+//!   host threads do not serialize on one lock.
 
 use crate::strategy::{extract, ExtractOptions, IndexEntry, Strategy};
+use amada_cloud::{content_hash, Object};
+use amada_pattern::{evaluate_pattern_twig, EvalStats, TreePattern, Tuple};
 use amada_xml::Document;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,37 +44,58 @@ use std::sync::{Arc, Mutex};
 /// contention negligible.
 const SHARDS: usize = 32;
 
-/// FNV-1a over the document bytes — cheap, deterministic cache
-/// validation.
-pub fn content_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+/// Why a shard lock can fail: only a panic inside one of this module's
+/// short critical sections poisons it.
+const POISONED: &str = "no thread panics while holding a cache shard";
 
 /// FNV-1a over the URI, used only to pick a shard.
 fn shard_of(uri: &str) -> usize {
     (content_hash(uri.as_bytes()) as usize) % SHARDS
 }
 
-/// One cached document: the content hash it was parsed from, the parsed
-/// tree, and the memoized extraction per strategy/options.
+/// One pattern's twig evaluation on one document.
+pub type Evaluation = (Vec<Tuple>, EvalStats);
+
+/// A tree pattern with its canonical text, the evaluation memo's key.
+/// Build it once per pattern, then probe with it per document.
+pub struct PatternKey<'p> {
+    pattern: &'p TreePattern,
+    text: String,
+}
+
+impl<'p> PatternKey<'p> {
+    /// Renders `pattern`'s canonical text.
+    pub fn new(pattern: &'p TreePattern) -> Self {
+        PatternKey {
+            pattern,
+            text: pattern.to_string(),
+        }
+    }
+}
+
+/// One cached document version: the content hash it was parsed from, the
+/// parsed tree, and the memoized extractions and evaluations.
 struct DocEntry {
-    hash: u64,
+    etag: u64,
     doc: Arc<Document>,
     extracts: HashMap<(Strategy, ExtractOptions), Arc<Vec<IndexEntry>>>,
+    evals: HashMap<String, Arc<Evaluation>>,
 }
 
 #[derive(Default)]
 struct Shard {
-    /// URI → cached parse + extractions.
-    docs: HashMap<String, DocEntry>,
-    /// URI → content hash of the *currently stored* object, recorded at
-    /// upload time so probes need not rehash the bytes.
-    expected: HashMap<String, u64>,
+    /// URI → one entry per content hash cached under it.
+    docs: HashMap<String, Vec<DocEntry>>,
+}
+
+impl Shard {
+    fn entry(&self, uri: &str, etag: u64) -> Option<&DocEntry> {
+        self.docs.get(uri)?.iter().find(|e| e.etag == etag)
+    }
+
+    fn entry_mut(&mut self, uri: &str, etag: u64) -> Option<&mut DocEntry> {
+        self.docs.get_mut(uri)?.iter_mut().find(|e| e.etag == etag)
+    }
 }
 
 /// Cumulative cache statistics (monotonic counters).
@@ -82,10 +109,15 @@ pub struct CacheStats {
     pub extract_hits: u64,
     /// Extraction probes that had to run the extractor.
     pub extract_misses: u64,
+    /// Evaluation probes answered from the memo.
+    pub eval_hits: u64,
+    /// Evaluation probes that had to run the twig join.
+    pub eval_misses: u64,
 }
 
 impl CacheStats {
-    /// Hit fraction over all probes, `None` before the first probe.
+    /// Hit fraction over all parse and extraction probes, `None` before
+    /// the first one.
     pub fn hit_rate(&self) -> Option<f64> {
         let hits = self.parse_hits + self.extract_hits;
         let total = hits + self.parse_misses + self.extract_misses;
@@ -93,31 +125,23 @@ impl CacheStats {
     }
 }
 
-/// Process-wide counters aggregated across every cache instance, so a
-/// harness (e.g. the `repro` binary) can report an overall hit rate
-/// without threading handles through each experiment.
-static GLOBAL: [AtomicU64; 4] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
-
-/// Snapshot of the process-wide counters (all caches since start-up).
-pub fn global_stats() -> CacheStats {
-    CacheStats {
-        parse_hits: GLOBAL[0].load(Ordering::Relaxed),
-        parse_misses: GLOBAL[1].load(Ordering::Relaxed),
-        extract_hits: GLOBAL[2].load(Ordering::Relaxed),
-        extract_misses: GLOBAL[3].load(Ordering::Relaxed),
-    }
+/// Indices into [`ExtractCache::stats`], in [`CacheStats`] field order.
+#[derive(Clone, Copy)]
+enum Counter {
+    ParseHit,
+    ParseMiss,
+    ExtractHit,
+    ExtractMiss,
+    EvalHit,
+    EvalMiss,
 }
 
 /// A sharded, `Send + Sync` cache of parsed documents and their
-/// extraction results. Cheap to clone the handle via [`Arc`].
+/// extraction and evaluation results. Cheap to clone the handle via
+/// [`Arc`].
 pub struct ExtractCache {
     shards: Box<[Mutex<Shard>; SHARDS]>,
-    stats: [AtomicU64; 4],
+    stats: [AtomicU64; 6],
 }
 
 impl Default for ExtractCache {
@@ -148,131 +172,151 @@ impl ExtractCache {
     /// A handle to the **process-wide** cache. Every warehouse in the
     /// process shares it, so a harness that builds many warehouses over
     /// the same corpus (e.g. `repro table4`, one warehouse per strategy)
-    /// parses each document once and extracts once per `(strategy, opts)`
-    /// — not once per warehouse. Safe because entries are validated by
-    /// content hash on every probe: a URI re-uploaded with different
-    /// bytes simply misses and replaces the stale entry. Tests that need
-    /// isolated statistics use [`ExtractCache::default`] directly.
+    /// parses each document once, extracts once per `(strategy, opts)` and
+    /// evaluates once per pattern — not once per warehouse. Sharing is
+    /// safe because every entry is keyed by the object's URI *and* content
+    /// hash: a warehouse holding other bytes under the same URI probes
+    /// another key. Tests that need isolated statistics use
+    /// [`ExtractCache::default`] directly.
     pub fn shared() -> Arc<ExtractCache> {
         Arc::clone(Self::process_cache())
     }
 
-    fn bump(&self, i: usize) {
-        self.stats[i].fetch_add(1, Ordering::Relaxed);
-        GLOBAL[i].fetch_add(1, Ordering::Relaxed);
+    fn bump(&self, c: Counter) {
+        self.stats[c as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// This cache's statistics.
     pub fn stats(&self) -> CacheStats {
+        let get = |c: Counter| self.stats[c as usize].load(Ordering::Relaxed);
         CacheStats {
-            parse_hits: self.stats[0].load(Ordering::Relaxed),
-            parse_misses: self.stats[1].load(Ordering::Relaxed),
-            extract_hits: self.stats[2].load(Ordering::Relaxed),
-            extract_misses: self.stats[3].load(Ordering::Relaxed),
+            parse_hits: get(Counter::ParseHit),
+            parse_misses: get(Counter::ParseMiss),
+            extract_hits: get(Counter::ExtractHit),
+            extract_misses: get(Counter::ExtractMiss),
+            eval_hits: get(Counter::EvalHit),
+            eval_misses: get(Counter::EvalMiss),
         }
     }
 
-    /// Records that `bytes` are now the stored content of `uri`, hashing
-    /// them exactly once. A stale cached parse (from a replaced object
-    /// under the same URI) is dropped here rather than lingering until the
-    /// next probe. Returns the content hash.
-    pub fn note_upload(&self, uri: &str, bytes: &[u8]) -> u64 {
-        let hash = content_hash(bytes);
-        let mut shard = self.shards[shard_of(uri)].lock().unwrap();
-        if shard.docs.get(uri).is_some_and(|e| e.hash != hash) {
-            shard.docs.remove(uri);
-        }
-        shard.expected.insert(uri.to_string(), hash);
-        hash
+    fn shard(&self, uri: &str) -> std::sync::MutexGuard<'_, Shard> {
+        self.shards[shard_of(uri)].lock().expect(POISONED)
     }
 
-    /// The expected content hash of `uri`: the one recorded by
-    /// [`ExtractCache::note_upload`], or a fresh hash of `bytes` for
-    /// callers that bypass the upload path.
-    fn expected_hash(shard: &Shard, uri: &str, bytes: &[u8]) -> u64 {
-        shard
-            .expected
-            .get(uri)
-            .copied()
-            .unwrap_or_else(|| content_hash(bytes))
-    }
-
-    /// The parsed form of `uri`/`bytes`, from cache when the content
-    /// still matches.
-    ///
-    /// # Panics
-    /// Panics if `bytes` are not well-formed XML (stored documents always
-    /// are; the warehouse validated them on the way in).
-    pub fn parsed(&self, uri: &str, bytes: &[u8]) -> Arc<Document> {
-        let idx = shard_of(uri);
-        {
-            let shard = self.shards[idx].lock().unwrap();
-            let expected = Self::expected_hash(&shard, uri, bytes);
-            if let Some(e) = shard.docs.get(uri) {
-                if e.hash == expected {
-                    let doc = e.doc.clone();
-                    drop(shard);
-                    self.bump(0);
-                    return doc;
-                }
+    /// Drops the entry of `uri` at content hash `etag` — called when the
+    /// object is replaced, so superseded versions do not accumulate. Any
+    /// other holder of those bytes simply re-parses on its next probe.
+    pub fn forget(&self, uri: &str, etag: u64) {
+        let mut shard = self.shard(uri);
+        if let Some(versions) = shard.docs.get_mut(uri) {
+            versions.retain(|e| e.etag != etag);
+            if versions.is_empty() {
+                shard.docs.remove(uri);
             }
         }
-        self.bump(1);
-        // Parse outside the lock: this is the expensive part, and the
-        // prewarm stage runs it concurrently across shard-colliding URIs.
-        let doc = Arc::new(Document::parse(uri, bytes).expect("stored documents are well-formed"));
-        let mut shard = self.shards[idx].lock().unwrap();
-        let hash = Self::expected_hash(&shard, uri, bytes);
-        shard.docs.insert(
-            uri.to_string(),
-            DocEntry {
-                hash,
-                doc: doc.clone(),
-                extracts: HashMap::new(),
-            },
-        );
-        doc
     }
 
-    /// The parsed form *and* the extraction output of `uri`/`bytes` under
+    /// The parsed form of `uri`/`obj`, from cache when this version was
+    /// parsed before.
+    ///
+    /// # Panics
+    /// Panics if `obj` is not well-formed XML (stored documents always
+    /// are; the warehouse validated them on the way in).
+    pub fn parsed(&self, uri: &str, obj: &Object) -> Arc<Document> {
+        let hit = self
+            .shard(uri)
+            .entry(uri, obj.etag())
+            .map(|e| e.doc.clone());
+        if let Some(doc) = hit {
+            self.bump(Counter::ParseHit);
+            return doc;
+        }
+        self.bump(Counter::ParseMiss);
+        // Parse outside the lock: this is the expensive part, and the
+        // prewarm stage runs it concurrently across shard-colliding URIs.
+        let doc = Arc::new(Document::parse(uri, obj).expect("stored documents are well-formed"));
+        let mut shard = self.shard(uri);
+        let versions = shard.docs.entry(uri.to_string()).or_default();
+        // A racing thread may have published this version meanwhile; keep
+        // its entry (and any memo levels it already filled).
+        match versions.iter().find(|e| e.etag == obj.etag()) {
+            Some(e) => e.doc.clone(),
+            None => {
+                versions.push(DocEntry {
+                    etag: obj.etag(),
+                    doc: doc.clone(),
+                    extracts: HashMap::new(),
+                    evals: HashMap::new(),
+                });
+                doc
+            }
+        }
+    }
+
+    /// The parsed form *and* the extraction output of `uri`/`obj` under
     /// `(strategy, opts)`, both memoized.
     pub fn extracted(
         &self,
         uri: &str,
-        bytes: &[u8],
+        obj: &Object,
         strategy: Strategy,
         opts: ExtractOptions,
     ) -> (Arc<Document>, Arc<Vec<IndexEntry>>) {
-        let doc = self.parsed(uri, bytes);
-        let idx = shard_of(uri);
-        {
-            let shard = self.shards[idx].lock().unwrap();
-            if let Some(e) = shard.docs.get(uri) {
-                if let Some(entries) = e.extracts.get(&(strategy, opts)) {
-                    let entries = entries.clone();
-                    drop(shard);
-                    self.bump(2);
-                    return (doc, entries);
-                }
-            }
+        let doc = self.parsed(uri, obj);
+        let key = (strategy, opts);
+        let hit = self
+            .shard(uri)
+            .entry(uri, obj.etag())
+            .and_then(|e| e.extracts.get(&key).cloned());
+        if let Some(entries) = hit {
+            self.bump(Counter::ExtractHit);
+            return (doc, entries);
         }
-        self.bump(3);
+        self.bump(Counter::ExtractMiss);
         // Extract outside the lock, then publish. Two threads may race to
         // extract the same key; both produce identical output (extraction
         // is deterministic), so last-write-wins is correct.
         let entries = Arc::new(extract(&doc, strategy, opts));
-        let mut shard = self.shards[idx].lock().unwrap();
-        if let Some(e) = shard.docs.get_mut(uri) {
-            e.extracts.insert((strategy, opts), entries.clone());
+        if let Some(e) = self.shard(uri).entry_mut(uri, obj.etag()) {
+            e.extracts.insert(key, entries.clone());
         }
         (doc, entries)
     }
 
-    /// Number of cached documents.
+    /// The twig evaluation of `pattern` on `uri`/`obj` — exactly what
+    /// [`evaluate_pattern_twig`] returns — memoized. A hit neither parses
+    /// nor probes the parse level.
+    pub fn evaluated(&self, uri: &str, obj: &Object, pattern: &PatternKey) -> Arc<Evaluation> {
+        let hit = self
+            .shard(uri)
+            .entry(uri, obj.etag())
+            .and_then(|e| e.evals.get(&pattern.text).cloned());
+        if let Some(eval) = hit {
+            self.bump(Counter::EvalHit);
+            return eval;
+        }
+        self.bump(Counter::EvalMiss);
+        let doc = self.parsed(uri, obj);
+        // Evaluate outside the lock; racing evaluations are identical.
+        let eval = Arc::new(evaluate_pattern_twig(&doc, pattern.pattern));
+        if let Some(e) = self.shard(uri).entry_mut(uri, obj.etag()) {
+            e.evals.insert(pattern.text.clone(), eval.clone());
+        }
+        eval
+    }
+
+    /// Number of cached document versions.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().unwrap().docs.len())
+            .map(|s| {
+                s.lock()
+                    .expect(POISONED)
+                    .docs
+                    .values()
+                    .map(Vec::len)
+                    .sum::<usize>()
+            })
             .sum()
     }
 
@@ -281,11 +325,10 @@ impl ExtractCache {
         self.len() == 0
     }
 
-    /// Drops every cached parse and extraction (upload hashes are kept:
-    /// they describe the stored objects, not the cache contents).
+    /// Drops every cached parse, extraction and evaluation.
     pub fn clear(&self) {
         for shard in self.shards.iter() {
-            shard.lock().unwrap().docs.clear();
+            shard.lock().expect(POISONED).docs.clear();
         }
     }
 }
@@ -299,6 +342,11 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amada_pattern::parse_pattern;
+
+    fn obj(xml: &[u8]) -> Object {
+        Object::new(xml.to_vec())
+    }
 
     const XML_A: &[u8] = b"<a><b>x</b></a>";
     const XML_B: &[u8] = b"<a><c>y</c></a>";
@@ -306,36 +354,76 @@ mod tests {
     #[test]
     fn parse_probe_hits_after_miss() {
         let cache = ExtractCache::default();
-        cache.note_upload("d.xml", XML_A);
-        let d1 = cache.parsed("d.xml", XML_A);
-        let d2 = cache.parsed("d.xml", XML_A);
+        let a = obj(XML_A);
+        let d1 = cache.parsed("d.xml", &a);
+        let d2 = cache.parsed("d.xml", &a);
         assert!(Arc::ptr_eq(&d1, &d2));
         let s = cache.stats();
         assert_eq!((s.parse_hits, s.parse_misses), (1, 1));
     }
 
     #[test]
-    fn reupload_invalidates_cached_parse() {
+    fn reuploaded_body_misses() {
         let cache = ExtractCache::default();
-        cache.note_upload("d.xml", XML_A);
-        let d1 = cache.parsed("d.xml", XML_A);
-        cache.note_upload("d.xml", XML_B);
-        let d2 = cache.parsed("d.xml", XML_B);
+        let (a, b) = (obj(XML_A), obj(XML_B));
+        let key = parse_pattern("//a[/b{val}]").unwrap();
+        let key = PatternKey::new(&key);
+        let d1 = cache.parsed("d.xml", &a);
+        let e1 = cache.evaluated("d.xml", &a, &key);
+        assert_eq!(e1.0.len(), 1);
+        // Replacing the object drops the old version's entry.
+        cache.forget("d.xml", a.etag());
+        assert_eq!(cache.len(), 0);
+        let d2 = cache.parsed("d.xml", &b);
         assert!(!Arc::ptr_eq(&d1, &d2));
         assert_eq!(d2.elements_named("c").len(), 1);
+        let e2 = cache.evaluated("d.xml", &b, &key);
+        assert!(e2.0.is_empty());
+        let s = cache.stats();
+        assert_eq!((s.parse_hits, s.parse_misses), (2, 2));
+        assert_eq!((s.eval_hits, s.eval_misses), (0, 2));
+    }
+
+    #[test]
+    fn different_bodies_under_one_uri_keep_their_own_entries() {
+        // Two warehouses storing different bodies under one URI: neither
+        // probe may see the other's parse, in any interleaving.
+        let cache = ExtractCache::default();
+        let (a, b) = (obj(XML_A), obj(XML_B));
+        let da = cache.parsed("d.xml", &a);
+        let db = cache.parsed("d.xml", &b);
+        assert_eq!(cache.len(), 2);
+        assert!(Arc::ptr_eq(&da, &cache.parsed("d.xml", &a)));
+        assert!(Arc::ptr_eq(&db, &cache.parsed("d.xml", &b)));
+        assert_eq!(da.elements_named("b").len(), 1);
+        assert_eq!(db.elements_named("c").len(), 1);
+    }
+
+    #[test]
+    fn equal_bytes_under_two_uris_keep_their_own_uri() {
+        let cache = ExtractCache::default();
+        let a = obj(XML_A);
+        let p = parse_pattern("//a[/b{val}]").unwrap();
+        let key = PatternKey::new(&p);
+        for uri in ["one.xml", "two.xml", "one.xml"] {
+            let (tuples, _) = &*cache.evaluated(uri, &a, &key);
+            assert_eq!(tuples.len(), 1);
+            assert_eq!(&*tuples[0].uri, uri);
+        }
+        assert_eq!(cache.stats().eval_hits, 1);
     }
 
     #[test]
     fn extraction_is_memoized_per_strategy_and_opts() {
         let cache = ExtractCache::default();
-        cache.note_upload("d.xml", XML_A);
-        let (_, e1) = cache.extracted("d.xml", XML_A, Strategy::Lu, ExtractOptions::default());
-        let (_, e2) = cache.extracted("d.xml", XML_A, Strategy::Lu, ExtractOptions::default());
+        let a = obj(XML_A);
+        let (_, e1) = cache.extracted("d.xml", &a, Strategy::Lu, ExtractOptions::default());
+        let (_, e2) = cache.extracted("d.xml", &a, Strategy::Lu, ExtractOptions::default());
         assert!(Arc::ptr_eq(&e1, &e2));
-        let (_, e3) = cache.extracted("d.xml", XML_A, Strategy::Lup, ExtractOptions::default());
+        let (_, e3) = cache.extracted("d.xml", &a, Strategy::Lup, ExtractOptions::default());
         assert!(!Arc::ptr_eq(&e1, &e3));
         let no_words = ExtractOptions { index_words: false };
-        let (_, e4) = cache.extracted("d.xml", XML_A, Strategy::Lu, no_words);
+        let (_, e4) = cache.extracted("d.xml", &a, Strategy::Lu, no_words);
         assert!(!Arc::ptr_eq(&e1, &e4));
         let s = cache.stats();
         assert_eq!((s.extract_hits, s.extract_misses), (1, 3));
@@ -344,40 +432,85 @@ mod tests {
     #[test]
     fn memoized_extraction_equals_direct_extraction() {
         let cache = ExtractCache::default();
+        let a = obj(XML_A);
         for strategy in Strategy::ALL {
-            let (doc, entries) =
-                cache.extracted("d.xml", XML_A, strategy, ExtractOptions::default());
+            let (doc, entries) = cache.extracted("d.xml", &a, strategy, ExtractOptions::default());
             let direct = extract(&doc, strategy, ExtractOptions::default());
             assert_eq!(*entries, direct, "{strategy}");
         }
     }
 
     #[test]
-    fn uncached_probe_falls_back_to_hashing() {
-        // No note_upload: the probe hashes the bytes itself and still
-        // works, including invalidation on changed content.
+    fn memoized_evaluation_equals_direct_evaluation() {
+        let corpus = amada_xmark::generate_corpus(&amada_xmark::CorpusConfig {
+            seed: 7,
+            num_documents: 40,
+            ..Default::default()
+        });
+        let objects: Vec<(String, Object)> = corpus
+            .into_iter()
+            .map(|d| (d.uri, Object::new(d.xml.into_bytes())))
+            .collect();
+        let queries = amada_xmark::workload();
+        let patterns: Vec<&TreePattern> = queries.iter().flat_map(|q| &q.patterns).collect();
         let cache = ExtractCache::default();
-        let d1 = cache.parsed("d.xml", XML_A);
-        let d2 = cache.parsed("d.xml", XML_B);
-        assert!(!Arc::ptr_eq(&d1, &d2));
-        assert_eq!(cache.len(), 1);
+        // Twice: the first pass fills the memo, the second reads it.
+        for _ in 0..2 {
+            for p in &patterns {
+                let key = PatternKey::new(p);
+                for (uri, o) in &objects {
+                    let doc = Document::parse(uri, o).unwrap();
+                    let direct = evaluate_pattern_twig(&doc, p);
+                    assert_eq!(*cache.evaluated(uri, o, &key), direct, "{p} on {uri}");
+                }
+            }
+        }
+        // Equal texts share an entry, so misses count distinct patterns.
+        let distinct: std::collections::BTreeSet<String> =
+            patterns.iter().map(|p| p.to_string()).collect();
+        let s = cache.stats();
+        let probes = (2 * patterns.len() * objects.len()) as u64;
+        assert_eq!(s.eval_misses, (distinct.len() * objects.len()) as u64);
+        assert_eq!(s.eval_hits + s.eval_misses, probes);
+    }
+
+    #[test]
+    fn clear_empties_every_level() {
+        let cache = ExtractCache::default();
+        let a = obj(XML_A);
+        let p = parse_pattern("//a[/b{val}]").unwrap();
+        let key = PatternKey::new(&p);
+        cache.extracted("d.xml", &a, Strategy::Lu, ExtractOptions::default());
+        cache.evaluated("d.xml", &a, &key);
+        cache.clear();
+        assert!(cache.is_empty());
+        let before = cache.stats();
+        cache.evaluated("d.xml", &a, &key);
+        cache.extracted("d.xml", &a, Strategy::Lu, ExtractOptions::default());
+        let after = cache.stats();
+        assert_eq!(after.eval_misses, before.eval_misses + 1);
+        assert_eq!(after.extract_misses, before.extract_misses + 1);
+        assert_eq!(after.parse_misses, before.parse_misses + 1);
     }
 
     #[test]
     fn concurrent_probes_agree() {
-        let cache = ExtractCache::shared();
+        let cache = ExtractCache::default();
         let uris: Vec<String> = (0..64).map(|i| format!("doc{i}.xml")).collect();
-        let xml: Vec<Vec<u8>> = (0..64)
-            .map(|i| format!("<a><b>{i}</b></a>").into_bytes())
+        let objects: Vec<Object> = (0..64)
+            .map(|i| Object::new(format!("<a><b>{i}</b></a>").into_bytes()))
             .collect();
         let results = amada_par::par_map_with(8, &uris, |i, uri| {
-            let (_, e) = cache.extracted(uri, &xml[i], Strategy::Lui, ExtractOptions::default());
+            let (_, e) =
+                cache.extracted(uri, &objects[i], Strategy::Lui, ExtractOptions::default());
             e.len()
         });
         // Re-probe sequentially: identical answers, all from cache.
         for (i, uri) in uris.iter().enumerate() {
-            let (_, e) = cache.extracted(uri, &xml[i], Strategy::Lui, ExtractOptions::default());
+            let (_, e) =
+                cache.extracted(uri, &objects[i], Strategy::Lui, ExtractOptions::default());
             assert_eq!(e.len(), results[i]);
         }
+        assert_eq!(cache.stats().extract_misses, 64);
     }
 }

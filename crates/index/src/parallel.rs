@@ -11,6 +11,8 @@
 
 use crate::cache::ExtractCache;
 use crate::strategy::{ExtractOptions, Strategy};
+use amada_cloud::Object;
+use std::sync::Arc;
 
 /// What one prewarm pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -25,28 +27,27 @@ pub struct PrewarmReport {
     pub threads: usize,
 }
 
-/// Parses every `(uri, bytes)` document and runs extraction for every
+/// Parses every `(uri, object)` document and runs extraction for every
 /// `(strategy, opts)` combination, filling `cache` across all host
-/// cores. Idempotent: combinations already cached are validated and
-/// skipped at memo-probe cost.
+/// cores. Idempotent: combinations already cached are skipped at
+/// memo-probe cost.
 ///
 /// Pass an empty `combos` slice to prewarm parses only (useful for the
 /// query path, which parses candidate documents but never extracts).
-pub fn prewarm<B: AsRef<Vec<u8>> + Sync>(
+pub fn prewarm(
     cache: &ExtractCache,
-    docs: &[(String, B)],
+    docs: &[(String, Arc<Object>)],
     combos: &[(Strategy, ExtractOptions)],
 ) -> PrewarmReport {
     let threads = amada_par::num_threads();
-    let per_doc = amada_par::par_map_with(threads, docs, |_, (uri, bytes)| {
-        let bytes: &[u8] = bytes.as_ref().as_slice();
+    let per_doc = amada_par::par_map_with(threads, docs, |_, (uri, obj)| {
         if combos.is_empty() {
-            cache.parsed(uri, bytes);
+            cache.parsed(uri, obj);
         }
         for &(strategy, opts) in combos {
-            cache.extracted(uri, bytes, strategy, opts);
+            cache.extracted(uri, obj, strategy, opts);
         }
-        bytes.len() as u64
+        obj.len() as u64
     });
     PrewarmReport {
         documents: docs.len(),
@@ -61,13 +62,11 @@ mod tests {
     use super::*;
     use crate::strategy::extract;
 
-    fn docs() -> Vec<(String, Vec<u8>)> {
+    fn docs() -> Vec<(String, Arc<Object>)> {
         (0..40)
             .map(|i| {
-                (
-                    format!("d{i}.xml"),
-                    format!("<a><b k=\"v{i}\">text {i}</b></a>").into_bytes(),
-                )
+                let xml = format!("<a><b k=\"v{i}\">text {i}</b></a>");
+                (format!("d{i}.xml"), Arc::new(Object::new(xml.into_bytes())))
             })
             .collect()
     }

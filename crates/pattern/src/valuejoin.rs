@@ -12,6 +12,7 @@
 
 use crate::ast::Query;
 use crate::eval::Tuple;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -35,11 +36,14 @@ impl JoinedTuple {
 /// Joins per-pattern tuple sets into final query results.
 ///
 /// `per_pattern[i]` must hold the tuples of `query.patterns[i]` (across all
-/// relevant documents). Patterns are joined left to right; two tuples are
-/// compatible when they agree on every join variable they share. Patterns
-/// without shared variables combine by cartesian product (not used by the
-/// paper's workload, but well-defined).
-pub fn join_pattern_results(query: &Query, per_pattern: &[Vec<Tuple>]) -> Vec<JoinedTuple> {
+/// relevant documents), owned or borrowed. Patterns are joined left to
+/// right; two tuples are compatible when they agree on every join variable
+/// they share. Patterns without shared variables combine by cartesian
+/// product (not used by the paper's workload, but well-defined).
+pub fn join_pattern_results<T: Borrow<Tuple>>(
+    query: &Query,
+    per_pattern: &[Vec<T>],
+) -> Vec<JoinedTuple> {
     assert_eq!(
         query.patterns.len(),
         per_pattern.len(),
@@ -73,7 +77,8 @@ pub fn join_pattern_results(query: &Query, per_pattern: &[Vec<Tuple>]) -> Vec<Jo
         let shared: Vec<&String> = tuples
             .first()
             .map(|t| {
-                t.joins
+                t.borrow()
+                    .joins
                     .iter()
                     .map(|(var, _)| var)
                     // Accumulated rows all bind the same variable set
@@ -103,7 +108,7 @@ pub fn join_pattern_results(query: &Query, per_pattern: &[Vec<Tuple>]) -> Vec<Jo
             table.entry(key_of_acc(a)).or_default().push(i);
         }
         let mut next: Vec<Acc> = Vec::new();
-        for t in tuples.iter().filter(consistent) {
+        for t in tuples.iter().map(Borrow::borrow).filter(consistent) {
             let Some(matches) = table.get(&key_of_tuple(t)) else {
                 continue;
             };
