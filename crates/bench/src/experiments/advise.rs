@@ -303,20 +303,19 @@ fn run_deployment(
     let storage_per_month = w.storage_cost().total();
     let total = build + queries + maintenance + storage_billed;
     let mean_response = responses.iter().sum::<f64>() / responses.len().max(1) as f64;
-    let plan = match w.mixed_plan() {
-        Some(p) if !p.assignments().is_empty() => {
-            let parts: Vec<String> = p
-                .assignments()
-                .iter()
-                .map(|(part, s)| format!("{part}={}", s.map_or("scan", Strategy::name)))
-                .collect();
-            parts.join(",")
-        }
-        Some(p) => format!(
+    let p = &w.config().plan;
+    let plan = if p.assignments().is_empty() {
+        format!(
             "uniform:{}",
             p.default_strategy().map_or("scan", Strategy::name)
-        ),
-        None => format!("uniform:{}", w.config().strategy.name()),
+        )
+    } else {
+        let parts: Vec<String> = p
+            .assignments()
+            .iter()
+            .map(|(part, s)| format!("{part}={}", s.map_or("scan", Strategy::name)))
+            .collect();
+        parts.join(",")
     };
     let row = AdviseRow {
         label: label.to_string(),
@@ -352,8 +351,10 @@ pub fn advise_outcome(scale: &Scale) -> AdviseOutcome {
         );
         rows.push(row);
     }
-    let mut scan_cfg = WarehouseConfig::with_strategy(Strategy::Lup);
-    scan_cfg.mixed_plan = Some(MixedPlan::uniform(None));
+    let scan_cfg = WarehouseConfig {
+        plan: MixedPlan::uniform(None),
+        ..Default::default()
+    };
     let (row, _) = run_deployment("no index", scan_cfg, scale, &docs, &victims, None, false);
     rows.push(row);
 
@@ -383,7 +384,7 @@ pub fn advise_outcome(scale: &Scale) -> AdviseOutcome {
     let advice = advise_adaptive(&docs, &declared_families(), &churn, &horizon, &base);
 
     let mut adaptive_cfg = WarehouseConfig::with_strategy(Strategy::Lu);
-    adaptive_cfg.mixed_plan = Some(advice.chosen.plan.clone());
+    adaptive_cfg.plan = advice.chosen.plan.clone();
     adaptive_cfg.host.record = true;
     let (row, cadence_migrations) = run_deployment(
         "adaptive",

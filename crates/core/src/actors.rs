@@ -44,9 +44,8 @@ use amada_cloud::{
     SimTime, Span, SqsError, StepResult, World,
 };
 use amada_index::{
-    decode_tuples, lookup_mixed, lookup_query, partition_of, partition_tables, retarget_entries,
-    store::UuidGen, Evaluation, ExtractCache, ExtractOptions, ItemKey, MixedPlan, PatternKey,
-    ScanPredicate, Strategy,
+    decode_tuples, lookup_mixed, partition_tables, retarget_entries, store::UuidGen, Evaluation,
+    ExtractCache, ExtractOptions, ItemKey, MixedPlan, PatternKey, ScanPredicate,
 };
 use amada_pattern::{join_pattern_results, parse_query, EvalStats, Query, Tuple};
 use amada_rng::StdRng;
@@ -141,8 +140,11 @@ pub struct LoaderCore {
     pub instance: InstanceId,
     /// The core's compute rating.
     pub ecu: f64,
-    /// Indexing strategy.
-    pub strategy: Strategy,
+    /// The routing plan: each document's home partition picks the
+    /// strategy that extracts it and the tables its entries land in; a
+    /// route assigned `None` indexes nothing (its documents are answered
+    /// by scans).
+    pub plan: Rc<MixedPlan>,
     /// Extraction options.
     pub opts: ExtractOptions,
     /// Shared totals.
@@ -169,13 +171,6 @@ pub struct LoaderCore {
     /// Pending retractions shared with the warehouse front end (empty for
     /// a static corpus, so churn-free builds take the exact same path).
     pub retractions: RetractionRegistry,
-    /// Per-partition strategy routing. `None` (the default) indexes every
-    /// document with `strategy` into the global tables — the byte-exact
-    /// pre-mixed path. `Some(plan)` routes each document by its URI's
-    /// partition: the partition's strategy extracts, the entries land in
-    /// the partition's own tables, and a partition assigned `None` indexes
-    /// nothing (its documents are answered by partition-scoped scans).
-    pub plan: Option<Rc<MixedPlan>>,
     /// Messages fully processed so far.
     pub processed: u32,
     /// Autoscaling drain signal shared with the instance's other cores
@@ -201,7 +196,7 @@ impl LoaderCore {
     pub fn new(
         instance: InstanceId,
         ecu: f64,
-        strategy: Strategy,
+        plan: Rc<MixedPlan>,
         opts: ExtractOptions,
         totals: Rc<RefCell<LoaderTotals>>,
         cache: DocCache,
@@ -213,7 +208,7 @@ impl LoaderCore {
         LoaderCore {
             instance,
             ecu,
-            strategy,
+            plan,
             opts,
             totals,
             cache,
@@ -224,7 +219,6 @@ impl LoaderCore {
             crash_after_batches: None,
             batches_written: 0,
             retractions: Rc::default(),
-            plan: None,
             processed: 0,
             drain: None,
             state: LoaderState::Idle,
@@ -254,6 +248,7 @@ impl LoaderCore {
         cache: &DocCache,
     ) -> Vec<LoaderCore> {
         let mut cores = Vec::new();
+        let plan = Rc::new(cfg.plan.clone());
         for _ in 0..cfg.loader_pool.count {
             let instance = world.ec2.launch(cfg.loader_pool.itype, now);
             for _ in 0..cfg.loader_pool.itype.cores() {
@@ -261,7 +256,7 @@ impl LoaderCore {
                 cores.push(LoaderCore::new(
                     instance,
                     cfg.loader_pool.itype.ecu_per_core(),
-                    cfg.strategy,
+                    plan.clone(),
                     cfg.extract,
                     totals.clone(),
                     cache.clone(),
@@ -387,35 +382,23 @@ impl LoaderCore {
             Err(e) => panic!("loader messages reference stored documents: {e}"),
         };
         self.attempt = 0;
-        // Mixed routing: the document's partition picks the strategy. A
-        // partition assigned `None` indexes nothing — an empty extraction
-        // whose only effect is retracting whatever an earlier placement
-        // left behind for this URI.
-        let routed: Option<Strategy> = match &self.plan {
-            Some(plan) => plan.strategy_for_uri(&uri),
-            None => Some(self.strategy),
-        };
+        // The plan routes the document: its home partition's strategy
+        // extracts, and the entries land in the home's tables. A route
+        // that indexes nothing extracts nothing — its only effect is
+        // retracting whatever an earlier placement left behind for this
+        // URI.
         let profile = world.kv.profile();
         let mut batches = VecDeque::new();
+        let mut tables: Vec<&'static str> = Vec::new();
         let mut entry_count = 0u64;
         let mut items = 0u64;
         let mut entry_bytes = 0u64;
         let mut t = t;
-        if let Some(strategy) = routed {
+        if let Some((strategy, home)) = self.plan.route(&uri) {
             // Parse, extract, encode (memoized on the host after the
             // prewarm stage; virtually charged in full either way).
             let (_doc, cached) = self.cache.extracted(&uri, &bytes, strategy, self.opts);
-            // Under a mixed plan the entries are routed into the
-            // partition's own tables; without one they stay in the global
-            // tables untouched (no clone on the paper's path).
-            let entries: std::borrow::Cow<[amada_index::IndexEntry]> = match &self.plan {
-                Some(_) => {
-                    let mut routed = (*cached).clone();
-                    retarget_entries(&mut routed, partition_of(&uri));
-                    std::borrow::Cow::Owned(routed)
-                }
-                None => std::borrow::Cow::Borrowed(&cached[..]),
-            };
+            let entries = retarget_entries(&cached, home);
             entry_count = entries.len() as u64;
             entry_bytes = entries.iter().map(|e| e.raw_bytes() as u64).sum();
             let extraction = world.work.parse(bytes.len() as u64, self.ecu)
@@ -435,11 +418,8 @@ impl LoaderCore {
                     .or_default()
                     .extend(amada_index::store::encode_entry(e, &profile, &mut uuids));
             }
-            let tables: Vec<&'static str> = match &self.plan {
-                Some(_) => partition_tables(strategy, partition_of(&uri)),
-                None => strategy.tables().to_vec(),
-            };
-            for table in tables {
+            tables = partition_tables(strategy, home);
+            for &table in &tables {
                 if let Some(table_items) = per_table.remove(table) {
                     items += table_items.len() as u64;
                     for chunk in table_items.chunks(profile.batch_put_limit) {
@@ -478,18 +458,9 @@ impl LoaderCore {
             for (table, hash, range) in stale {
                 per_table.entry(table).or_default().push((hash, range));
             }
-            // Without a plan the strategy's own tables keep their legacy
-            // order; under one, a migration's stale keys reference the
-            // *previous* placement's tables, so the order comes from the
-            // keys themselves (name order — deterministic either way).
-            let mut tables: Vec<&'static str> = match &self.plan {
-                Some(_) => per_table.keys().copied().collect(),
-                None => self.strategy.tables().to_vec(),
-            };
-            // A plan switch can strand stale keys in tables outside the
-            // flat strategy's set (migrating a partition back to the flat
-            // layout); cover them after the strategy's own tables — a
-            // no-op whenever no plan was ever in force.
+            // The current placement's tables keep the strategy's own
+            // order (2LUPI: path, then ID); stale keys a migration left
+            // in the previous placement's tables follow in name order.
             for &table in per_table.keys() {
                 if !tables.contains(&table) {
                     tables.push(table);
@@ -501,17 +472,6 @@ impl LoaderCore {
                         deletes.push_back((table, chunk.to_vec()));
                     }
                 }
-            }
-        }
-        if self.plan.is_some() {
-            // A mixed write may target a partition table no one created
-            // yet (unnamed partitions fall back to the default strategy at
-            // write time); ensuring is a free, idempotent host-side call.
-            for (table, _) in batches.iter() {
-                world.kv.ensure_table(table);
-            }
-            for (table, _) in deletes.iter() {
-                world.kv.ensure_table(table);
             }
         }
         lease.keep_alive(&mut world.sqs, t);
@@ -789,15 +749,11 @@ pub struct QueryCore {
     pub cores: usize,
     /// Compute rating per core.
     pub ecu: f64,
-    /// `Some(strategy)` to use the index, `None` for the no-index baseline
-    /// that scans the whole corpus.
-    pub strategy: Option<Strategy>,
-    /// Per-partition routing: when set, look-ups union each indexed
-    /// partition's own-strategy answer with partition-scoped scans of the
-    /// unindexed ones, overriding `strategy` for the look-up phase (the
-    /// fetch/evaluate phase downstream is unchanged). `None` keeps the
-    /// single-strategy path byte-identically.
-    pub plan: Option<Rc<MixedPlan>>,
+    /// The routing plan: look-ups union each indexed home's own-strategy
+    /// answer with scans of the unindexed routes' documents. The empty
+    /// plan is the no-index baseline that scans the whole corpus; the
+    /// uniform LUP-PD plan fetches candidates by storage-side scans.
+    pub plan: Rc<MixedPlan>,
     /// The front end's partition catalog — every partition holding live
     /// documents, known from its own upload records (free host-side
     /// metadata, like the plan). A fully indexed plan fans its look-ups
@@ -831,12 +787,14 @@ pub struct QueryCore {
 }
 
 impl QueryCore {
-    /// Builds one actor per query-pool instance.
+    /// Builds one actor per query-pool instance, routing by `plan` over
+    /// the front end's partition catalog.
     pub fn pool(
         cfg: &WarehouseConfig,
         world: &mut World,
         now: SimTime,
-        strategy: Option<Strategy>,
+        plan: &Rc<MixedPlan>,
+        partitions: &Rc<BTreeSet<String>>,
         executions: &Rc<RefCell<Vec<QueryExecution>>>,
         cache: &DocCache,
     ) -> Vec<QueryCore> {
@@ -845,9 +803,8 @@ impl QueryCore {
                 instance: world.ec2.launch(cfg.query_pool.itype, now),
                 cores: cfg.query_pool.itype.cores(),
                 ecu: cfg.query_pool.itype.ecu_per_core(),
-                strategy,
-                plan: None,
-                partitions: Rc::default(),
+                plan: plan.clone(),
+                partitions: partitions.clone(),
                 opts: cfg.extract,
                 cache: cache.clone(),
                 visibility: cfg.visibility,
@@ -894,99 +851,73 @@ impl QueryCore {
 
         // Phase 1+2: index look-up and plan execution (step 10–12).
         let mut phases = QueryPhases::default();
-        let mut docs_from_index = 0usize;
-        let mut index_get_ops = 0u64;
-        // Per pattern: the candidate documents to evaluate it on.
-        let per_pattern_uris: Vec<Vec<String>>;
         let mut t = t0;
-        match (self.plan.clone(), self.strategy) {
-            (plan, Some(_)) | (plan @ Some(_), None) => {
-                let strategy = self.strategy;
-                let get_ops_before = world.kv.stats().get_ops;
-                // A throttle aborts the look-up mid-flight; the whole
-                // look-up is retried (every aborted get stays billed).
-                let lookup = loop {
-                    let res = match &plan {
-                        Some(plan) => {
-                            // The corpus listing enumerates the scan
-                            // partitions' documents. `list` is billed
-                            // like a GET (LIST-class request), so a fully
-                            // indexed plan — which can never route a
-                            // query to the scan path — skips it entirely
-                            // instead of paying one billed request per
-                            // arrival for a listing it would throw away;
-                            // its look-ups fan out over the partition
-                            // catalog instead.
-                            let corpus = if plan.fully_indexed() {
-                                Vec::new()
-                            } else {
-                                world
-                                    .s3
-                                    .list(t, DOC_BUCKET)
-                                    .expect("document bucket exists")
-                            };
-                            lookup_mixed(
-                                world.kv.as_mut(),
-                                t,
-                                plan,
-                                self.opts,
-                                &query,
-                                &corpus,
-                                &self.partitions,
-                            )
-                        }
-                        None => {
-                            let strategy = strategy.expect("checked by the match arm");
-                            lookup_query(world.kv.as_mut(), t, strategy, self.opts, &query)
-                        }
-                    };
-                    match res {
-                        Ok(lookup) => break lookup,
-                        Err(KvError::Throttled { available_at }) => {
-                            self.attempt += 1;
-                            if self.attempt > self.policy.max_attempts {
-                                self.attempt = 0;
-                                return Err(available_at);
-                            }
-                            let resume =
-                                available_at + self.policy.backoff(self.attempt, &mut self.rng);
-                            lease.keep_alive(&mut world.sqs, resume);
-                            t = resume;
-                        }
-                        Err(e) => panic!("index look-up succeeds: {e}"),
-                    }
-                };
-                self.attempt = 0;
-                let t_get = lookup.ready_at();
-                phases.lookup_get = t_get - t;
-                let plan = world.work.plan(lookup.entries_processed(), self.ecu);
-                phases.plan = plan;
-                let t_lookup = t;
-                world.obs.record(|_, ctx| {
-                    Span::new(ServiceKind::Actor, "lookup_get", t_lookup, t_get, ctx)
-                });
-                world.obs.record(|_, ctx| {
-                    Span::new(ServiceKind::Actor, "plan", t_get, t_get + plan, ctx)
-                });
-                t = t_get + plan;
-                docs_from_index = lookup.total_doc_ids;
-                // `|op(q, D, I)|` counts billed ops, throttled retries
-                // included.
-                index_get_ops = world.kv.stats().get_ops - get_ops_before;
-                per_pattern_uris = lookup.per_pattern.into_iter().map(|o| o.uris).collect();
-            }
-            (None, None) => {
-                // No index: every pattern is evaluated on every document.
-                // (`list` is never throttled but is billed like a GET —
-                // the no-index path pays one LIST-class request per
-                // query on top of its scans.)
-                let all = world
+        let get_ops_before = world.kv.stats().get_ops;
+        // A throttle aborts the look-up mid-flight; the whole look-up is
+        // retried (every aborted get stays billed).
+        let lookup = loop {
+            // The corpus listing enumerates the scan routes' documents.
+            // `list` is never throttled but is billed like a GET
+            // (LIST-class request), so a fully indexed plan — which can
+            // never route a query to the scan path — skips it instead of
+            // paying one billed request per arrival for a listing it
+            // would throw away; its look-ups fan out over the partition
+            // catalog instead.
+            let corpus = if self.plan.fully_indexed() {
+                Vec::new()
+            } else {
+                world
                     .s3
                     .list(t, DOC_BUCKET)
-                    .expect("document bucket exists");
-                per_pattern_uris = vec![all; query.patterns.len()];
+                    .expect("document bucket exists")
+            };
+            let res = lookup_mixed(
+                world.kv.as_mut(),
+                t,
+                &self.plan,
+                self.opts,
+                &query,
+                &corpus,
+                &self.partitions,
+            );
+            match res {
+                Ok(lookup) => break lookup,
+                Err(KvError::Throttled { available_at }) => {
+                    self.attempt += 1;
+                    if self.attempt > self.policy.max_attempts {
+                        self.attempt = 0;
+                        return Err(available_at);
+                    }
+                    let resume = available_at + self.policy.backoff(self.attempt, &mut self.rng);
+                    lease.keep_alive(&mut world.sqs, resume);
+                    t = resume;
+                }
+                Err(e) => panic!("index look-up succeeds: {e}"),
             }
+        };
+        self.attempt = 0;
+        // A plan that indexes nothing has no look-up phase: every pattern
+        // is evaluated on every document.
+        if self.plan.indexes_anything() {
+            let t_get = lookup.ready_at();
+            phases.lookup_get = t_get - t;
+            let plan = world.work.plan(lookup.entries_processed(), self.ecu);
+            phases.plan = plan;
+            let t_lookup = t;
+            world
+                .obs
+                .record(|_, ctx| Span::new(ServiceKind::Actor, "lookup_get", t_lookup, t_get, ctx));
+            world
+                .obs
+                .record(|_, ctx| Span::new(ServiceKind::Actor, "plan", t_get, t_get + plan, ctx));
+            t = t_get + plan;
         }
+        let docs_from_index = lookup.total_doc_ids;
+        // `|op(q, D, I)|` counts billed ops, throttled retries included.
+        let index_get_ops = world.kv.stats().get_ops - get_ops_before;
+        // Per pattern: the candidate documents to evaluate it on.
+        let per_pattern_uris: Vec<Vec<String>> =
+            lookup.per_pattern.into_iter().map(|o| o.uris).collect();
 
         // Phase 3: transfer candidate documents and evaluate (steps 13–14).
         // Work is accumulated serially and divided across the cores;
@@ -996,7 +927,7 @@ impl QueryCore {
         // Per pattern, one shared evaluation per candidate document (one
         // per pattern under pushdown); the join reads them in place.
         let mut evaluations: Vec<Vec<Arc<Evaluation>>> = Vec::with_capacity(query.patterns.len());
-        if self.strategy == Some(Strategy::LupPd) {
+        if self.plan.pushdown() {
             // Pushdown: the post-filter runs *inside* the store. Each
             // candidate is scanned (per pattern — the predicate differs),
             // only the matching tuples travel back, and the instance never
@@ -1149,7 +1080,6 @@ impl QueryCore {
             .collect();
         self.executions.borrow_mut().push(QueryExecution {
             name: name.to_string(),
-            strategy: self.strategy,
             response_time: t_done - t0,
             phases,
             docs_from_index,

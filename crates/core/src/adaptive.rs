@@ -114,7 +114,7 @@ pub struct Horizon {
 pub struct PlanEstimate {
     /// The plan.
     pub plan: MixedPlan,
-    /// Human-readable assignment, e.g. `hot=2LUPI,cold=scan,/=LUP`
+    /// Human-readable assignment, e.g. `/=LUP,cold=scan,hot=2LUPI`
     /// (uniform plans render as `uniform:LUP`). Doubles as the
     /// deterministic tie-break key.
     pub label: String,
@@ -192,12 +192,12 @@ fn strategy_label(s: Option<Strategy>) -> &'static str {
     s.map_or("scan", Strategy::name)
 }
 
-/// The flat fallback strategy for partitions outside the sample: the
-/// deployment's configured strategy, with the non-routable pushdown
+/// The fallback route for partitions outside the sample: the
+/// deployment's configured default, with the non-routable pushdown
 /// variant degraded to its underlying LUP layout.
-fn routable_default(base: &WarehouseConfig) -> Strategy {
-    match base.strategy {
-        Strategy::LupPd => Strategy::Lup,
+fn routable_default(base: &WarehouseConfig) -> Option<Strategy> {
+    match base.plan.default_strategy() {
+        Some(Strategy::LupPd) => Some(Strategy::Lup),
         s => s,
     }
 }
@@ -313,13 +313,21 @@ impl<'a> Scenario<'a> {
         if plan.assignments().is_empty() {
             return format!("uniform:{}", strategy_label(plan.default_strategy()));
         }
-        let parts: Vec<String> = plan
-            .assignments()
+        // The root partition is the default route; name it when the
+        // sample holds root documents, so the label tells candidates that
+        // differ only there apart.
+        let root = self
+            .uris
             .iter()
-            .map(|(p, s)| {
-                let name = if p.is_empty() { "/" } else { p };
-                format!("{name}={}", strategy_label(*s))
-            })
+            .any(|u| partition_of(u).is_empty())
+            .then(|| format!("/={}", strategy_label(plan.default_strategy())));
+        let parts: Vec<String> = root
+            .into_iter()
+            .chain(
+                plan.assignments()
+                    .iter()
+                    .map(|(p, s)| format!("{p}={}", strategy_label(*s))),
+            )
             .collect();
         parts.join(",")
     }
@@ -356,8 +364,8 @@ impl<'a> Scenario<'a> {
             let mut serial_doc = self.fetch[uri] + work.parse(self.doc_bytes[uri], lecu);
             let mut doc_puts = 0u64;
             if let Some(s) = strategy {
-                let mut entries = extract(&self.docs[uri], s, self.base.extract);
-                retarget_entries(&mut entries, partition);
+                let extracted = extract(&self.docs[uri], s, self.base.extract);
+                let entries = retarget_entries(&extracted, partition);
                 let entry_bytes: u64 = entries.iter().map(|e| e.raw_bytes() as u64).sum();
                 serial_doc += work.extract(entry_bytes, lecu);
                 let before = kv.stats().put_ops;
@@ -676,7 +684,7 @@ pub fn advise_adaptive(
         .collect();
 
     let assemble = |assignment: &[Option<Strategy>]| {
-        let mut plan = MixedPlan::uniform(Some(default));
+        let mut plan = MixedPlan::uniform(default);
         for (p, &s) in partitions.iter().zip(assignment) {
             plan.assign(p, s);
         }
@@ -851,9 +859,10 @@ mod tests {
     /// Measures a real deployment of `plan` end to end: build-phase bill,
     /// monthly storage, and one arrival-weighted workload run.
     fn measured(plan: &MixedPlan, workload: &[FamilyLoad]) -> (Money, Money, Money) {
-        let mut cfg = WarehouseConfig::default();
-        cfg.strategy = routable_default(&cfg);
-        cfg.mixed_plan = Some(plan.clone());
+        let cfg = WarehouseConfig {
+            plan: plan.clone(),
+            ..Default::default()
+        };
         let mut w = Warehouse::new(cfg);
         w.upload_documents(sample());
         let build = w.build_index().cost.total();

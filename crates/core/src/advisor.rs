@@ -13,7 +13,7 @@
 use crate::config::WarehouseConfig;
 use crate::warehouse::Warehouse;
 use amada_cloud::Money;
-use amada_index::{ExtractOptions, PathSummary, Strategy, StrategyHint};
+use amada_index::{ExtractOptions, MixedPlan, PathSummary, Strategy, StrategyHint};
 use amada_pattern::Query;
 use amada_xml::Document;
 
@@ -116,11 +116,11 @@ pub fn advise_churn(
     let mut estimates = Vec::new();
     let mut no_index_total = Money::ZERO;
     for strategy in candidates {
-        let mut cfg = base.clone();
-        if let Some(s) = strategy {
-            cfg.strategy = s;
-        }
-        let mut w = Warehouse::new(cfg);
+        // The "index nothing" candidate is the empty plan.
+        let mut w = Warehouse::new(WarehouseConfig {
+            plan: MixedPlan::uniform(strategy),
+            ..base.clone()
+        });
         w.upload_documents(sample.iter().map(|(u, x)| (u.clone(), x.clone())));
         let (build_cost, storage) = match strategy {
             Some(_) => (w.build_index().cost.total(), w.storage_cost().total()),
@@ -131,10 +131,7 @@ pub fn advise_churn(
         let mut run_cost = Money::ZERO;
         let mut response = 0.0;
         for q in workload {
-            let r = match strategy {
-                Some(_) => w.run_query(q),
-                None => w.run_query_no_index(q),
-            };
+            let r = w.run_query(q);
             run_cost += r.cost.total();
             response += r.exec.response_time.as_secs_f64();
         }

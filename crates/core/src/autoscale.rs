@@ -421,41 +421,6 @@ impl ArrivalProcess {
     }
 }
 
-/// An open-loop front-end actor: generalizes [`BurstSender`] from "all
-/// messages of a burst at one instant" to an arbitrary pre-computed
-/// arrival schedule. Release times come from an [`ArrivalProcess`], so
-/// sends never wait for completions; the queue is closed after the last
-/// arrival (inheriting the empty-schedule close from `BurstSender`).
-pub struct OpenLoopSender {
-    inner: BurstSender,
-}
-
-impl OpenLoopSender {
-    /// A sender over a prepared `(send at, query name, body)` schedule
-    /// (non-decreasing in time — [`ArrivalProcess::offsets`] output is).
-    pub fn new(
-        queue: &'static str,
-        schedule: VecDeque<(SimTime, String, String)>,
-        retry: RetryPolicy,
-        tag: ActorTag,
-    ) -> OpenLoopSender {
-        OpenLoopSender {
-            inner: BurstSender::new(queue, schedule, retry, tag),
-        }
-    }
-
-    /// When the first arrival is due (spawn the actor there).
-    pub fn first_send(&self) -> Option<SimTime> {
-        self.inner.first_send()
-    }
-}
-
-impl Actor for OpenLoopSender {
-    fn step(&mut self, now: SimTime, world: &mut World) -> StepResult {
-        self.inner.step(now, world)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -131,8 +131,18 @@ impl Default for HostConfig {
 /// Full warehouse configuration.
 #[derive(Debug, Clone)]
 pub struct WarehouseConfig {
-    /// Indexing strategy (paper Table 2).
-    pub strategy: Strategy,
+    /// How documents are indexed and queries routed — the one routing
+    /// type. A paper strategy (Table 2) is the uniform plan
+    /// `MixedPlan::uniform(Some(strategy))`, the default being uniform LU;
+    /// the empty plan `MixedPlan::uniform(None)` is the no-index baseline.
+    /// A plan that names partitions routes each document by its URI's
+    /// partition — hot partitions can take the ID-granularity index while
+    /// cold ones take a cheap one or none at all — and
+    /// [`crate::Warehouse::apply_plan`] migrates between plans
+    /// incrementally. LUP-PD is not a layout but a fetch choice: the
+    /// uniform LUP-PD plan indexes like LUP and has its query processors
+    /// scan candidates inside the store instead of fetching them.
+    pub plan: MixedPlan,
     /// Extraction options (full-text on/off).
     pub extract: ExtractOptions,
     /// Index-store backend (DynamoDB, or SimpleDB for the \[8\] baseline).
@@ -179,20 +189,12 @@ pub struct WarehouseConfig {
     /// A sharded plan changes service times and throttle exposure only —
     /// never answers or billed units.
     pub shard_plan: Option<amada_cloud::ShardPlan>,
-    /// Per-partition strategy routing: `None` (the default) indexes the
-    /// whole corpus with `strategy`, bit-identically to the paper's
-    /// layout. `Some(plan)` routes each document by its URI's partition —
-    /// hot partitions can take the ID-granularity index while cold ones
-    /// take a cheap one or none at all — and
-    /// [`crate::Warehouse::apply_plan`] migrates between plans
-    /// incrementally.
-    pub mixed_plan: Option<MixedPlan>,
 }
 
 impl Default for WarehouseConfig {
     fn default() -> Self {
         WarehouseConfig {
-            strategy: Strategy::Lu,
+            plan: MixedPlan::uniform(Some(Strategy::Lu)),
             extract: ExtractOptions::default(),
             backend: KvBackend::default(),
             kv_tuning: KvTuning::NONE,
@@ -209,16 +211,16 @@ impl Default for WarehouseConfig {
             retry: RetryPolicy::default(),
             host: HostConfig::default(),
             shard_plan: None,
-            mixed_plan: None,
         }
     }
 }
 
 impl WarehouseConfig {
-    /// Convenience: the default configuration with a given strategy.
+    /// Convenience: the default configuration indexing the whole corpus
+    /// with one strategy (the uniform plan).
     pub fn with_strategy(strategy: Strategy) -> WarehouseConfig {
         WarehouseConfig {
-            strategy,
+            plan: MixedPlan::uniform(Some(strategy)),
             ..Default::default()
         }
     }
@@ -238,7 +240,8 @@ mod tests {
         // must reproduce the paper's static-pool, fractional-hour setup.
         assert!(c.loader_autoscale.is_none());
         assert!(c.query_autoscale.is_none());
-        assert!(c.mixed_plan.is_none(), "mixed routing is opt-in");
+        // The paper's layout: the whole corpus under one LU index.
+        assert_eq!(c.plan, MixedPlan::uniform(Some(Strategy::Lu)));
         assert_eq!(c.ec2_billing, BillingGranularity::Fractional);
     }
 

@@ -10,7 +10,8 @@ use amada_pattern::JoinedTuple;
 /// Figures 7 and 8).
 #[derive(Debug, Clone)]
 pub struct IndexBuildReport {
-    /// Strategy used.
+    /// The plan's default strategy (LU when its default route indexes
+    /// nothing).
     pub strategy: Strategy,
     /// Loader pool size and flavor.
     pub instances: usize,
@@ -59,7 +60,7 @@ pub struct IndexBuildReport {
 
 /// Timing decomposition of one query execution (Figures 9b / 9c): the
 /// three phases the paper charts per query and strategy.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryPhases {
     /// "Lookup – DynamoDB Get": issuing index gets and waiting for them.
     pub lookup_get: SimDuration,
@@ -76,8 +77,6 @@ pub struct QueryPhases {
 pub struct QueryExecution {
     /// Query name (e.g. `q4`).
     pub name: String,
-    /// Whether an index was used (`None` = the no-index baseline).
-    pub strategy: Option<Strategy>,
     /// Response time perceived at the query processor: message retrieved →
     /// message deleted (the paper's measurement convention, Section 7.1).
     pub response_time: SimDuration,

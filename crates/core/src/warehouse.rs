@@ -6,7 +6,7 @@ use crate::actors::{
     QUERY_RNG_TAG,
 };
 use crate::autoscale::{
-    ArrivalProcess, AutoscaleController, BurstSender, DrainSignal, OpenLoopSender, ScaleEvents,
+    ArrivalProcess, AutoscaleController, BurstSender, DrainSignal, ScaleEvents,
 };
 use crate::config::{
     AutoscalePolicy, WarehouseConfig, DEAD_LETTER_QUEUE, DOC_BUCKET, LOADER_QUEUE, QUERY_QUEUE,
@@ -46,9 +46,6 @@ pub struct Warehouse {
     /// retraction, shared with the loader cores (see
     /// [`RetractionRegistry`]).
     retractions: RetractionRegistry,
-    /// The per-partition routing plan shared with the module cores
-    /// (mirrors `cfg.mixed_plan`; `None` keeps the flat layout).
-    plan: Option<Rc<MixedPlan>>,
     /// Recorded-span index of the last [`Warehouse::readvise`]: each
     /// cadence step advises from the traffic observed *since the
     /// previous one* (the observation window), so a drifting workload
@@ -75,15 +72,14 @@ pub struct Readvice {
 }
 
 /// How a workload run releases its query messages.
-enum SendPlan<'a> {
+enum SendPlan {
     /// All messages enqueued before the engine starts (the paper's
     /// batch experiments).
     Inline,
-    /// Timed bursts released inside the engine by a [`BurstSender`].
-    Bursts { bursts: usize, gap: SimDuration },
-    /// A seeded open-loop arrival schedule released by an
-    /// [`OpenLoopSender`].
-    OpenLoop(&'a ArrivalProcess),
+    /// A prepared `(send at, query name, body)` schedule, non-decreasing
+    /// in time, released inside the engine by a [`BurstSender`] that
+    /// closes the queue after the last send.
+    Scheduled(VecDeque<(SimTime, String, String)>),
 }
 
 /// Fault-visibility deltas since a snapshot: (throttled billed requests
@@ -148,26 +144,13 @@ impl Warehouse {
         if let Some(plan) = &cfg.shard_plan {
             world.kv.set_shard_plan(plan.clone());
         }
-        match &cfg.mixed_plan {
-            // Named partitions' tables are known up-front; unnamed ones
-            // are discovered at write time and ensured on demand by the
-            // loader cores.
-            Some(plan) => {
-                for table in plan.known_tables() {
-                    world.kv.ensure_table(table);
-                }
-            }
-            None => {
-                for table in cfg.strategy.tables() {
-                    world.kv.ensure_table(table);
-                }
-            }
+        for table in cfg.plan.known_tables() {
+            world.kv.ensure_table(table);
         }
         world.install_faults(&cfg.faults);
         if cfg.host.record {
             world.enable_recording();
         }
-        let plan = cfg.mixed_plan.clone().map(Rc::new);
         Warehouse {
             cfg,
             engine: Engine::new(world),
@@ -180,7 +163,6 @@ impl Warehouse {
             },
             controllers: 0,
             retractions: Rc::default(),
-            plan,
             advise_span_base: 0,
             pending_load: BTreeSet::new(),
         }
@@ -238,9 +220,9 @@ impl Warehouse {
 
     /// The partitions currently holding live documents — the front end's
     /// own catalog, derived from its upload records (no cloud call). A
-    /// fully indexed mixed plan's query processors fan their look-ups out
-    /// over this instead of paying the billed per-query corpus LIST.
-    fn partition_catalog(&self) -> Rc<std::collections::BTreeSet<String>> {
+    /// fully indexed plan's query processors fan their look-ups out over
+    /// this instead of paying the billed per-query corpus LIST.
+    fn partition_catalog(&self) -> Rc<BTreeSet<String>> {
         Rc::new(
             self.doc_uris
                 .iter()
@@ -343,31 +325,20 @@ impl Warehouse {
     /// document content (host-side replay of the loader's deterministic
     /// encoding — no requests, no virtual time).
     fn item_keys_of(&self, uri: &str, obj: &Object) -> Vec<ItemKey> {
-        self.item_keys_under(self.cfg.mixed_plan.as_ref(), uri, obj)
+        self.item_keys_under(&self.cfg.plan, uri, obj)
     }
 
     /// Like [`Warehouse::item_keys_of`] but under an explicit routing
-    /// plan (`None` = the flat configured strategy into the global
-    /// tables) — what [`Warehouse::apply_plan`] replays to find the *old*
+    /// plan — what [`Warehouse::apply_plan`] replays to find the *old*
     /// placement's keys before switching.
-    fn item_keys_under(&self, plan: Option<&MixedPlan>, uri: &str, obj: &Object) -> Vec<ItemKey> {
-        let strategy = match plan {
-            Some(p) => match p.strategy_for_uri(uri) {
-                Some(s) => s,
-                // An unindexed partition holds nothing to replay.
-                None => return Vec::new(),
-            },
-            None => self.cfg.strategy,
+    fn item_keys_under(&self, plan: &MixedPlan, uri: &str, obj: &Object) -> Vec<ItemKey> {
+        // An unindexed route holds nothing to replay.
+        let Some((strategy, home)) = plan.route(uri) else {
+            return Vec::new();
         };
         let (_doc, entries) = self.cache.extracted(uri, obj, strategy, self.cfg.extract);
         let profile = self.engine.world.kv.profile();
-        if plan.is_some() {
-            let mut routed = (*entries).clone();
-            retarget_entries(&mut routed, partition_of(uri));
-            entry_item_keys(&routed, &profile, uri)
-        } else {
-            entry_item_keys(&entries, &profile, uri)
-        }
+        entry_item_keys(&retarget_entries(&entries, home), &profile, uri)
     }
 
     /// Front end, churn maintenance: removes documents from the file
@@ -449,9 +420,8 @@ impl Warehouse {
     }
 
     /// Front end, plan maintenance: switches the warehouse to a new
-    /// per-partition routing plan (`None` restores the flat configured
-    /// strategy) *incrementally*. Every stored document whose placement —
-    /// effective strategy or partition tables — changes has its current
+    /// routing plan *incrementally*. Every stored document whose placement
+    /// — effective strategy or home tables — changes has its current
     /// placement's item keys recorded in the retraction registry and its
     /// loading message re-enqueued; the next [`Warehouse::build_index`]
     /// rewrites those documents under the new plan and then deletes the
@@ -463,67 +433,42 @@ impl Warehouse {
     /// piggyback on it, since the loader reads the plan at processing
     /// time. Returns the number of documents migrating (piggybacked ones
     /// included).
-    pub fn apply_plan(&mut self, new_plan: Option<MixedPlan>) -> u64 {
-        let flat = self.cfg.strategy;
-        // A URI's placement: (strategy, partition the tables belong to).
-        // Without a plan everything lives in the root partition's global
-        // tables; the root partition of a plan is physically identical.
-        fn placement(
-            plan: Option<&MixedPlan>,
-            flat: Strategy,
-            uri: &str,
-        ) -> Option<(Strategy, String)> {
-            match plan {
-                Some(p) => p
-                    .strategy_for_uri(uri)
-                    .map(|s| (s, partition_of(uri).to_string())),
-                None => Some((flat, String::new())),
-            }
-        }
-        let old_plan = self.cfg.mixed_plan.clone();
+    pub fn apply_plan(&mut self, new_plan: MixedPlan) -> u64 {
+        let old_plan = std::mem::replace(&mut self.cfg.plan, new_plan);
         let mut migrated = 0u64;
         let mut t = self.engine.now();
         let uris: Vec<String> = self.doc_uris.clone();
         for uri in uris {
-            if placement(old_plan.as_ref(), flat, &uri) == placement(new_plan.as_ref(), flat, &uri)
-            {
+            if old_plan.route(&uri) == self.cfg.plan.route(&uri) {
                 continue;
             }
             let Some(bytes) = self.engine.world.s3.peek(DOC_BUCKET, &uri) else {
                 continue;
             };
-            if self.pending_load.contains(&uri) {
-                // A rebuild is already queued (churn, typically): the
-                // loader reads the routing plan at processing time, so the
-                // pending message rebuilds under the *new* placement — no
-                // second message needed. Stale keys: whoever enqueued the
-                // pending rebuild recorded the replaced version's exact
-                // key set; when the registry holds nothing the stored
-                // entries match the current bytes, so replaying them under
-                // the old placement retracts precisely what exists.
-                if !self.retractions.borrow().contains_key(&uri) {
-                    let keys = self.item_keys_under(old_plan.as_ref(), &uri, &bytes);
-                    if !keys.is_empty() {
-                        self.retractions
-                            .borrow_mut()
-                            .entry(uri.clone())
-                            .or_default()
-                            .extend(keys);
-                    }
+            migrated += 1;
+            // A rebuild already queued (churn, typically) migrates the
+            // document with no second message: the loader reads the
+            // routing plan at processing time. Whoever enqueued it
+            // recorded the replaced version's exact key set; when the
+            // registry holds nothing the stored entries match the current
+            // bytes, so replaying them under the old placement retracts
+            // precisely what exists.
+            let pending = self.pending_load.contains(&uri);
+            if !(pending && self.retractions.borrow().contains_key(&uri)) {
+                // Record the old placement's keys *before* the switch
+                // makes them unreachable; the registry unions with any
+                // retraction already pending for this URI.
+                let keys = self.item_keys_under(&old_plan, &uri, &bytes);
+                if !keys.is_empty() {
+                    self.retractions
+                        .borrow_mut()
+                        .entry(uri.clone())
+                        .or_default()
+                        .extend(keys);
                 }
-                migrated += 1;
-                continue;
             }
-            // Record the old placement's keys *before* the switch makes
-            // them unreachable; the registry unions with any retraction
-            // already pending for this URI.
-            let keys = self.item_keys_under(old_plan.as_ref(), &uri, &bytes);
-            if !keys.is_empty() {
-                self.retractions
-                    .borrow_mut()
-                    .entry(uri.clone())
-                    .or_default()
-                    .extend(keys);
+            if pending {
+                continue;
             }
             let frontend = self.frontend;
             self.engine.world.obs.with_ctx(|c| {
@@ -539,22 +484,12 @@ impl Warehouse {
                 LOADER_QUEUE,
                 uri.clone(),
             );
-            migrated += 1;
         }
         self.engine.world.obs.with_ctx(|c| *c = Default::default());
-        if let Some(p) = &new_plan {
-            for table in p.known_tables() {
-                self.engine.world.kv.ensure_table(table);
-            }
+        for table in self.cfg.plan.known_tables() {
+            self.engine.world.kv.ensure_table(table);
         }
-        self.cfg.mixed_plan = new_plan;
-        self.plan = self.cfg.mixed_plan.clone().map(Rc::new);
         migrated
-    }
-
-    /// The routing plan in force (`None` = the flat configured strategy).
-    pub fn mixed_plan(&self) -> Option<&MixedPlan> {
-        self.cfg.mixed_plan.as_ref()
     }
 
     /// Front end, adaptive switching: re-advises from **live
@@ -601,7 +536,7 @@ impl Warehouse {
             .collect();
         let advice =
             crate::adaptive::advise_adaptive(&sample, &families, churn, horizon, &self.cfg);
-        let migrated = self.apply_plan(Some(advice.chosen.plan.clone()));
+        let migrated = self.apply_plan(advice.chosen.plan.clone());
         Readvice { advice, migrated }
     }
 
@@ -614,14 +549,13 @@ impl Warehouse {
     /// the query paths when `cfg.host.prewarm` is set.
     pub fn prewarm(&self) -> PrewarmReport {
         let docs = self.engine.world.s3.peek_all(DOC_BUCKET);
-        let combos: Vec<(Strategy, amada_index::ExtractOptions)> = match &self.cfg.mixed_plan {
-            Some(plan) => plan
-                .indexed_strategies()
-                .into_iter()
-                .map(|s| (s, self.cfg.extract))
-                .collect(),
-            None => vec![(self.cfg.strategy, self.cfg.extract)],
-        };
+        let combos: Vec<(Strategy, amada_index::ExtractOptions)> = self
+            .cfg
+            .plan
+            .indexed_strategies()
+            .into_iter()
+            .map(|s| (s, self.cfg.extract))
+            .collect();
         amada_index::parallel::prewarm(&self.cache, &docs, &combos)
     }
 
@@ -649,7 +583,7 @@ impl Warehouse {
         totals: &Rc<RefCell<LoaderTotals>>,
     ) -> crate::autoscale::Launcher<'static> {
         let pool = self.cfg.loader_pool;
-        let strategy = self.cfg.strategy;
+        let plan = Rc::new(self.cfg.plan.clone());
         let extract = self.cfg.extract;
         let visibility = self.cfg.visibility;
         let poll = self.cfg.poll_interval;
@@ -658,7 +592,6 @@ impl Warehouse {
         let totals = totals.clone();
         let cache = self.cache.clone();
         let retractions = self.retractions.clone();
-        let plan = self.plan.clone();
         let mut next_core: u64 = 0;
         Box::new(move |world: &mut World, t: SimTime, boot: SimDuration| {
             let id = world.ec2.launch(pool.itype, t);
@@ -680,7 +613,7 @@ impl Warehouse {
                 let mut core = LoaderCore::new(
                     id,
                     pool.itype.ecu_per_core(),
-                    strategy,
+                    plan.clone(),
                     extract,
                     totals.clone(),
                     cache.clone(),
@@ -691,7 +624,6 @@ impl Warehouse {
                 );
                 core.drain = Some(sig.clone());
                 core.retractions = retractions.clone();
-                core.plan = plan.clone();
                 world.spawn_actor(t + boot, Box::new(core));
             }
             sig
@@ -702,7 +634,8 @@ impl Warehouse {
     /// (one actor per instance, so the drain signal counts one core).
     fn query_launcher(
         &self,
-        strategy: Option<amada_index::Strategy>,
+        plan: &Rc<MixedPlan>,
+        partitions: &Rc<BTreeSet<String>>,
         executions: &Rc<RefCell<Vec<QueryExecution>>>,
     ) -> crate::autoscale::Launcher<'static> {
         let pool = self.cfg.query_pool;
@@ -713,10 +646,8 @@ impl Warehouse {
         let seed = self.cfg.faults.seed;
         let executions = executions.clone();
         let cache = self.cache.clone();
-        // The no-index baseline bypasses routing, so the plan rides along
-        // only when the pool queries the index at all.
-        let plan = strategy.and(self.plan.clone());
-        let partitions = self.partition_catalog();
+        let plan = plan.clone();
+        let partitions = partitions.clone();
         let mut next: u64 = 0;
         Box::new(move |world: &mut World, t: SimTime, boot: SimDuration| {
             let id = world.ec2.launch(pool.itype, t);
@@ -738,7 +669,6 @@ impl Warehouse {
                 instance: id,
                 cores: pool.itype.cores(),
                 ecu: pool.itype.ecu_per_core(),
-                strategy,
                 plan: plan.clone(),
                 partitions: partitions.clone(),
                 opts: extract,
@@ -792,7 +722,6 @@ impl Warehouse {
                 );
                 for mut core in cores {
                     core.retractions = self.retractions.clone();
-                    core.plan = self.plan.clone();
                     self.engine.spawn(Box::new(core), start);
                 }
             }
@@ -842,7 +771,7 @@ impl Warehouse {
             |sum_micros: u64| SimDuration::from_micros((sum_micros + workers / 2) / workers);
         let instances = self.engine.world.ec2.records().len() - first_instance;
         IndexBuildReport {
-            strategy: self.cfg.strategy,
+            strategy: self.cfg.plan.default_strategy().unwrap_or(Strategy::Lu),
             instances,
             itype: self.cfg.loader_pool.itype,
             documents: totals.docs,
@@ -872,20 +801,21 @@ impl Warehouse {
     }
 
     /// Runs one query through the full pipeline (steps 7–18) on the
-    /// configured query pool, using the index.
+    /// configured query pool, routed by the configured plan.
     pub fn run_query(&mut self, query: &Query) -> CostedQuery {
-        self.run_one(query, Some(self.cfg.strategy))
+        self.run_one(query, self.cfg.plan.clone())
     }
 
-    /// Runs one query without any index: the processor fetches and
-    /// evaluates the entire corpus (the paper's no-index baseline).
+    /// Runs one query without any index (the empty plan): the processor
+    /// fetches and evaluates the entire corpus (the paper's no-index
+    /// baseline).
     pub fn run_query_no_index(&mut self, query: &Query) -> CostedQuery {
-        self.run_one(query, None)
+        self.run_one(query, MixedPlan::uniform(None))
     }
 
-    fn run_one(&mut self, query: &Query, strategy: Option<amada_index::Strategy>) -> CostedQuery {
+    fn run_one(&mut self, query: &Query, plan: MixedPlan) -> CostedQuery {
         let before = self.engine.world.snapshot();
-        let report = self.run_batch(std::slice::from_ref(query), 1, strategy, SendPlan::Inline);
+        let report = self.run_batch(std::slice::from_ref(query), 1, plan, SendPlan::Inline);
         let mut executions = report.executions;
         assert_eq!(executions.len(), 1, "one query in, one execution out");
         CostedQuery {
@@ -898,29 +828,43 @@ impl Warehouse {
     /// (sent in round-robin order: q1…qn, q1…qn, …), across the query
     /// pool. Used for the paper's Figure 10 scaling experiment.
     pub fn run_workload(&mut self, queries: &[Query], repeats: usize) -> WorkloadReport {
-        self.run_batch(queries, repeats, Some(self.cfg.strategy), SendPlan::Inline)
+        self.run_batch(queries, repeats, self.cfg.plan.clone(), SendPlan::Inline)
     }
 
     /// Like [`Warehouse::run_workload`] but without any index.
     pub fn run_workload_no_index(&mut self, queries: &[Query], repeats: usize) -> WorkloadReport {
-        self.run_batch(queries, repeats, None, SendPlan::Inline)
+        self.run_batch(queries, repeats, MixedPlan::uniform(None), SendPlan::Inline)
     }
 
     /// Releases queries open-loop from a seeded [`ArrivalProcess`]: each
     /// arrival Zipf-picks a query and is sent at its scheduled instant
     /// regardless of completions, so backlog under saturation is real.
     /// Arrival names are `{query}#{seq}` — unique per arrival, so
-    /// recorded spans give exact per-arrival virtual latencies.
+    /// recorded spans give exact per-arrival virtual latencies even when
+    /// the same query is drawn many times.
     pub fn run_workload_open_loop(
         &mut self,
         queries: &[Query],
         process: &ArrivalProcess,
     ) -> WorkloadReport {
+        let start = self.engine.now();
+        let schedule = process
+            .offsets(queries.len())
+            .into_iter()
+            .enumerate()
+            .map(|(seq, (offset, idx))| {
+                let q = &queries[idx];
+                let base = q.name.clone().unwrap_or_else(|| format!("query-{idx}"));
+                let name = format!("{base}#{seq}");
+                let body = format!("{name}\n{q}");
+                (start + offset, name, body)
+            })
+            .collect();
         self.run_batch(
             queries,
             1,
-            Some(self.cfg.strategy),
-            SendPlan::OpenLoop(process),
+            self.cfg.plan.clone(),
+            SendPlan::Scheduled(schedule),
         )
     }
 
@@ -937,11 +881,25 @@ impl Warehouse {
         bursts: usize,
         gap: SimDuration,
     ) -> WorkloadReport {
+        let start = self.engine.now();
+        let mut schedule = VecDeque::new();
+        for b in 0..bursts {
+            let at = start + SimDuration::from_micros(gap.micros() * b as u64);
+            for r in 0..repeats {
+                for (i, q) in queries.iter().enumerate() {
+                    let name = q.name.clone().unwrap_or_else(|| {
+                        format!("query-{}", (b * repeats + r) * queries.len() + i)
+                    });
+                    let body = format!("{name}\n{q}");
+                    schedule.push_back((at, name, body));
+                }
+            }
+        }
         self.run_batch(
             queries,
             repeats,
-            Some(self.cfg.strategy),
-            SendPlan::Bursts { bursts, gap },
+            self.cfg.plan.clone(),
+            SendPlan::Scheduled(schedule),
         )
     }
 
@@ -949,8 +907,8 @@ impl Warehouse {
         &mut self,
         queries: &[Query],
         repeats: usize,
-        strategy: Option<amada_index::Strategy>,
-        plan: SendPlan<'_>,
+        plan: MixedPlan,
+        sends: SendPlan,
     ) -> WorkloadReport {
         if self.cfg.host.prewarm {
             // Queries parse candidate documents; after an indexed build
@@ -964,7 +922,7 @@ impl Warehouse {
         // tagged per query so Figure-12-style attribution charges each
         // query its own request.
         let frontend = self.frontend;
-        match plan {
+        match sends {
             SendPlan::Inline => {
                 let mut t = start;
                 for r in 0..repeats {
@@ -990,40 +948,11 @@ impl Warehouse {
                 }
                 self.engine.world.sqs.close(QUERY_QUEUE);
             }
-            SendPlan::Bursts { bursts, gap } => {
+            SendPlan::Scheduled(schedule) => {
                 // The sends happen inside the engine: a BurstSender actor
-                // releases each burst at its scheduled instant and closes
-                // the queue after the last one.
-                let mut schedule = VecDeque::new();
-                for b in 0..bursts {
-                    let at = start + SimDuration::from_micros(gap.micros() * b as u64);
-                    for r in 0..repeats {
-                        for (i, q) in queries.iter().enumerate() {
-                            let name = q.name.clone().unwrap_or_else(|| {
-                                format!("query-{}", (b * repeats + r) * queries.len() + i)
-                            });
-                            let body = format!("{name}\n{q}");
-                            schedule.push_back((at, name, body));
-                        }
-                    }
-                }
+                // releases each message at its scheduled instant and
+                // closes the queue after the last one.
                 let sender = BurstSender::new(QUERY_QUEUE, schedule, self.cfg.retry, frontend);
-                let first = sender.first_send().unwrap_or(start);
-                self.engine.spawn(Box::new(sender), first);
-            }
-            SendPlan::OpenLoop(process) => {
-                // Arrival names are unique per arrival (`{query}#{seq}`)
-                // so per-arrival latency can be read back from spans even
-                // when the same query is drawn many times.
-                let mut schedule = VecDeque::new();
-                for (seq, (offset, idx)) in process.offsets(queries.len()).into_iter().enumerate() {
-                    let q = &queries[idx];
-                    let base = q.name.clone().unwrap_or_else(|| format!("query-{idx}"));
-                    let name = format!("{base}#{seq}");
-                    let body = format!("{name}\n{q}");
-                    schedule.push_back((start + offset, name, body));
-                }
-                let sender = OpenLoopSender::new(QUERY_QUEUE, schedule, self.cfg.retry, frontend);
                 let first = sender.first_send().unwrap_or(start);
                 self.engine.spawn(Box::new(sender), first);
             }
@@ -1033,20 +962,19 @@ impl Warehouse {
         let executions: Rc<RefCell<Vec<QueryExecution>>> = Rc::new(RefCell::new(Vec::new()));
         let first_instance = self.engine.world.ec2.records().len();
         let scale_events: ScaleEvents = Rc::new(RefCell::new(Vec::new()));
+        let plan = Rc::new(plan);
+        let partitions = self.partition_catalog();
         match self.cfg.query_autoscale {
             None => {
-                for mut core in QueryCore::pool(
+                for core in QueryCore::pool(
                     &self.cfg,
                     &mut self.engine.world,
                     start,
-                    strategy,
+                    &plan,
+                    &partitions,
                     &executions,
                     &self.cache,
                 ) {
-                    // The no-index baseline (strategy None) bypasses
-                    // routing even under a mixed plan.
-                    core.plan = strategy.and(self.plan.clone());
-                    core.partitions = self.partition_catalog();
                     self.engine.spawn(Box::new(core), start);
                 }
             }
@@ -1058,7 +986,7 @@ impl Warehouse {
                     Phase::Query,
                     tag,
                     self.cfg.retry,
-                    self.query_launcher(strategy, &executions),
+                    self.query_launcher(&plan, &partitions, &executions),
                     scale_events.clone(),
                 );
                 ctrl.provision(&mut self.engine.world, start);
@@ -1248,6 +1176,49 @@ mod tests {
         );
         assert!(with.cost.total() < without.cost.total());
         assert!(with.exec.docs_fetched < without.exec.docs_fetched);
+    }
+
+    /// The no-index baseline is nothing but the empty plan: a warehouse
+    /// configured with it answers through `run_query` exactly as
+    /// `run_query_no_index` does on an indexed warehouse over the same
+    /// corpus — answers, virtual time, phases, bill and recorded spans.
+    #[test]
+    fn the_empty_plan_is_the_no_index_baseline() {
+        let recording = |plan: Option<Strategy>| {
+            let mut cfg = WarehouseConfig {
+                plan: MixedPlan::uniform(plan),
+                ..Default::default()
+            };
+            cfg.host.record = true;
+            Warehouse::new(cfg)
+        };
+        let mut empty = recording(None);
+        empty.upload_documents(small_corpus());
+        empty.build_index();
+        let mut indexed = recording(Some(Strategy::Lup));
+        indexed.upload_documents(small_corpus());
+        indexed.build_index();
+        let span_names = |w: &Warehouse, from: usize| -> Vec<&'static str> {
+            w.spans()[from..].iter().map(|s| s.op).collect()
+        };
+        for q in amada_xmark::workload() {
+            let (from_a, from_b) = (empty.spans().len(), indexed.spans().len());
+            let a = empty.run_query(&q);
+            let b = indexed.run_query_no_index(&q);
+            let name = &b.exec.name;
+            assert_eq!(a.exec.results, b.exec.results, "{name}: answers");
+            assert_eq!(a.exec.response_time, b.exec.response_time, "{name}");
+            assert_eq!(a.exec.phases, b.exec.phases, "{name}: phases");
+            assert_eq!(a.cost.total(), b.cost.total(), "{name}: cost");
+            assert_eq!(a.exec.index_get_ops, 0, "{name}");
+            assert_eq!(a.exec.docs_from_index, 0, "{name}");
+            assert_eq!(a.exec.docs_fetched, b.exec.docs_fetched, "{name}");
+            assert_eq!(
+                span_names(&empty, from_a),
+                span_names(&indexed, from_b),
+                "{name}: spans"
+            );
+        }
     }
 
     #[test]
@@ -1458,16 +1429,16 @@ mod tests {
             .collect()
     }
 
-    fn mixed_plan() -> amada_index::MixedPlan {
-        amada_index::MixedPlan::uniform(Some(Strategy::Lup))
+    fn hot_cold_plan() -> MixedPlan {
+        MixedPlan::uniform(Some(Strategy::Lup))
             .with("hot", Some(Strategy::TwoLupi))
             .with("cold", None)
     }
 
     #[test]
-    fn mixed_plan_answers_match_the_no_index_baseline() {
+    fn a_hot_cold_plan_answers_match_the_no_index_baseline() {
         let mut cfg = WarehouseConfig::with_strategy(Strategy::Lup);
-        cfg.mixed_plan = Some(mixed_plan());
+        cfg.plan = hot_cold_plan();
         let mut w = Warehouse::new(cfg);
         w.upload_documents(partitioned_corpus());
         let build = w.build_index();
@@ -1503,12 +1474,12 @@ mod tests {
     fn fully_indexed_plan_answers_without_a_corpus_listing() {
         // Named hot/cold partitions plus the unnamed root partition,
         // which only the catalog knows about.
-        let plan = amada_index::MixedPlan::uniform(Some(Strategy::Lu))
+        let plan = MixedPlan::uniform(Some(Strategy::Lu))
             .with("hot", Some(Strategy::TwoLupi))
             .with("cold", Some(Strategy::Lui));
         assert!(plan.fully_indexed());
         let mut cfg = WarehouseConfig::with_strategy(Strategy::Lup);
-        cfg.mixed_plan = Some(plan);
+        cfg.plan = plan;
         let mut w = Warehouse::new(cfg);
         w.upload_documents(partitioned_corpus());
         w.build_index();
@@ -1540,13 +1511,13 @@ mod tests {
 
     /// Switching plans migrates incrementally, and the migrated index is
     /// *byte-identical* to a fresh build under the target plan — in both
-    /// directions (flat → mixed → flat).
+    /// directions (uniform → mixed → uniform).
     #[test]
     fn plan_migration_matches_a_fresh_build() {
         let mut migrated = Warehouse::new(WarehouseConfig::with_strategy(Strategy::Lu));
         migrated.upload_documents(partitioned_corpus());
         migrated.build_index();
-        let moved = migrated.apply_plan(Some(mixed_plan()));
+        let moved = migrated.apply_plan(hot_cold_plan());
         assert!(moved > 0, "every placement changed");
         let build = migrated.build_index();
         assert!(
@@ -1554,7 +1525,7 @@ mod tests {
             "migration must retract the old placement"
         );
         let mut cfg = WarehouseConfig::with_strategy(Strategy::Lu);
-        cfg.mixed_plan = Some(mixed_plan());
+        cfg.plan = hot_cold_plan();
         let mut fresh = Warehouse::new(cfg);
         fresh.upload_documents(partitioned_corpus());
         fresh.build_index();
@@ -1563,8 +1534,8 @@ mod tests {
             fresh.world().kv.peek_all(),
             "migrated mixed index != fresh mixed build"
         );
-        // And back: dropping the plan restores the flat layout.
-        migrated.apply_plan(None);
+        // And back: the uniform plan restores the paper's layout.
+        migrated.apply_plan(MixedPlan::uniform(Some(Strategy::Lu)));
         migrated.build_index();
         let mut flat = Warehouse::new(WarehouseConfig::with_strategy(Strategy::Lu));
         flat.upload_documents(partitioned_corpus());
@@ -1584,12 +1555,10 @@ mod tests {
     /// and still byte-identical to a fresh build of the final state.
     #[test]
     fn plan_change_piggybacks_on_pending_rebuilds() {
-        let plan_a =
-            amada_index::MixedPlan::uniform(Some(Strategy::Lup)).with("hot", Some(Strategy::Lui));
-        let plan_b =
-            amada_index::MixedPlan::uniform(Some(Strategy::Lup)).with("hot", Some(Strategy::Lu));
+        let plan_a = MixedPlan::uniform(Some(Strategy::Lup)).with("hot", Some(Strategy::Lui));
+        let plan_b = MixedPlan::uniform(Some(Strategy::Lup)).with("hot", Some(Strategy::Lu));
         let mut cfg = WarehouseConfig::with_strategy(Strategy::Lup);
-        cfg.mixed_plan = Some(plan_a);
+        cfg.plan = plan_a;
         // The churn round: every hot document replaced with new content
         // (its neighbour's, which parses and differs).
         let originals = partitioned_corpus();
@@ -1608,7 +1577,7 @@ mod tests {
         piggy.build_index();
         piggy.upload_documents(replacements.clone());
         assert_eq!(
-            piggy.apply_plan(Some(plan_b.clone())),
+            piggy.apply_plan(plan_b.clone()),
             replacements.len() as u64,
             "every hot document's placement changed"
         );
@@ -1623,7 +1592,7 @@ mod tests {
         let mut eager = Warehouse::new(cfg.clone());
         eager.upload_documents(originals.clone());
         eager.build_index();
-        eager.apply_plan(Some(plan_b.clone()));
+        eager.apply_plan(plan_b.clone());
         eager.build_index();
         eager.upload_documents(replacements.clone());
         eager.build_index();
@@ -1634,7 +1603,7 @@ mod tests {
             originals.into_iter().collect();
         final_docs.extend(replacements);
         let mut fresh_cfg = WarehouseConfig::with_strategy(Strategy::Lup);
-        fresh_cfg.mixed_plan = Some(plan_b);
+        fresh_cfg.plan = plan_b;
         let mut fresh = Warehouse::new(fresh_cfg);
         fresh.upload_documents(final_docs);
         fresh.build_index();
@@ -1654,20 +1623,11 @@ mod tests {
     #[test]
     fn reapplying_the_same_plan_migrates_nothing() {
         let mut cfg = WarehouseConfig::with_strategy(Strategy::Lup);
-        cfg.mixed_plan = Some(mixed_plan());
+        cfg.plan = hot_cold_plan();
         let mut w = Warehouse::new(cfg);
         w.upload_documents(partitioned_corpus());
         w.build_index();
-        assert_eq!(w.apply_plan(Some(mixed_plan())), 0);
-        // A flat warehouse adopting the uniform root plan is also free:
-        // the root partition keeps the global tables.
-        let mut flat = Warehouse::new(WarehouseConfig::with_strategy(Strategy::Lup));
-        flat.upload_documents(small_corpus());
-        flat.build_index();
-        assert_eq!(
-            flat.apply_plan(Some(amada_index::MixedPlan::uniform(Some(Strategy::Lup)))),
-            0
-        );
+        assert_eq!(w.apply_plan(hot_cold_plan()), 0);
     }
 
     /// The adaptive cadence: a recording warehouse serves live traffic,
@@ -1700,8 +1660,8 @@ mod tests {
         assert!(first.advice.budget_met);
         assert!(!first.advice.ranked.is_empty());
         assert_eq!(
-            w.mixed_plan(),
-            Some(&first.advice.chosen.plan),
+            w.config().plan,
+            first.advice.chosen.plan,
             "the chosen plan is in force"
         );
         // Apply the migration, then serve the same traffic profile in

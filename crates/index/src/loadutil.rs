@@ -129,26 +129,22 @@ pub fn retract_keys(
     Ok((batches, t))
 }
 
-/// Indexes a whole document set sequentially (test / example convenience;
-/// the warehouse's loader module parallelizes this across instances).
+/// Indexes a whole document set sequentially with one strategy (test /
+/// example convenience; the warehouse's loader module parallelizes this
+/// across instances) — the uniform plan of
+/// [`crate::index_documents_mixed`].
 pub fn index_documents(
     store: &mut dyn KvStore,
     docs: &[Document],
     strategy: Strategy,
     opts: ExtractOptions,
 ) -> DocIndexing {
-    let mut total = DocIndexing::default();
-    let mut t = SimTime::ZERO;
-    for d in docs {
-        let (m, ready) =
-            index_document(store, t, d, strategy, opts).expect("indexing must succeed");
-        t = ready;
-        total.entries += m.entries;
-        total.items += m.items;
-        total.entry_bytes += m.entry_bytes;
-        total.batches += m.batches;
-    }
-    total
+    crate::index_documents_mixed(
+        store,
+        docs,
+        &crate::MixedPlan::uniform(Some(strategy)),
+        opts,
+    )
 }
 
 #[cfg(test)]

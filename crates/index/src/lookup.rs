@@ -57,6 +57,22 @@ pub struct QueryLookup {
 }
 
 impl QueryLookup {
+    /// Assembles per-pattern outcomes, with `total_doc_ids` document IDs
+    /// returned by the index.
+    pub(crate) fn new(per_pattern: Vec<LookupOutcome>, total_doc_ids: usize) -> QueryLookup {
+        let mut uris: Vec<String> = per_pattern
+            .iter()
+            .flat_map(|o| o.uris.iter().cloned())
+            .collect();
+        uris.sort();
+        uris.dedup();
+        QueryLookup {
+            per_pattern,
+            uris,
+            total_doc_ids,
+        }
+    }
+
     /// Total entries processed across patterns.
     pub fn entries_processed(&self) -> u64 {
         self.per_pattern.iter().map(|p| p.entries_processed).sum()
@@ -92,18 +108,8 @@ pub fn lookup_query(
         t = outcome.ready_at;
         per_pattern.push(outcome);
     }
-    let mut uris: Vec<String> = per_pattern
-        .iter()
-        .flat_map(|o| o.uris.iter().cloned())
-        .collect();
-    uris.sort();
-    uris.dedup();
     let total = per_pattern.iter().map(|o| o.uris.len()).sum();
-    Ok(QueryLookup {
-        per_pattern,
-        uris,
-        total_doc_ids: total,
-    })
+    Ok(QueryLookup::new(per_pattern, total))
 }
 
 /// The physical tables a strategy's look-up reads. Defaults to the

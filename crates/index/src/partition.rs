@@ -1,33 +1,39 @@
-//! Per-partition strategy routing — the physical layer under the
-//! adaptive advisor (ROADMAP item 1).
+//! Per-partition strategy routing — the one routing type of the
+//! warehouse.
 //!
 //! The paper picks *one* of LU/LUP/LUI/2LUPI for the whole corpus.
 //! Production workloads are heterogeneous: a hot, selectively-queried
 //! partition wants the ID-granularity index, a cold scan-heavy partition
 //! wants the cheapest path index — or no index at all. A [`MixedPlan`]
-//! assigns every *partition* (the URI's directory prefix) its own
-//! strategy, or `None` for "index nothing, scan".
+//! assigns *partitions* (the URI's directory prefix) their own strategy,
+//! or `None` for "index nothing, scan"; every partition the plan does not
+//! name takes the plan's default route. The paper's layouts are the
+//! uniform plans ([`MixedPlan::uniform`]), and the no-index baseline is
+//! the empty plan `MixedPlan::uniform(None)`.
 //!
-//! Physically, each indexed partition owns its own tables —
+//! Physically, each *named* partition owns its own tables —
 //! `amada-index@hot`, `amada-index-path@hot`, … — derived from the global
-//! table constants by [`partition_table`]. Separate tables are not an
-//! implementation convenience: LU, LUP and LUI all write the *same* main
-//! table with incompatible payload encodings, so two partitions on
-//! different single-table strategies must not share it; and per-table
-//! stats give per-partition storage accounting for free. Table names stay
-//! `&'static str` (the type every store API and [`crate::ItemKey`] use)
-//! via a process-wide interner.
+//! table constants by [`partition_table`]; the default route keeps the
+//! global tables (its home is the root partition, see
+//! [`MixedPlan::home_of`]), so a uniform plan is the paper's
+//! single-strategy layout whatever the URIs look like. Separate tables
+//! are not an implementation convenience: LU, LUP and LUI all write the
+//! *same* main table with incompatible payload encodings, so two
+//! partitions on different single-table strategies must not share it;
+//! and per-table stats give per-partition storage accounting for free.
+//! Table names stay `&'static str` (the type every store API and
+//! [`crate::ItemKey`] use) via a process-wide interner.
 //!
-//! Look-ups under a mixed plan union per-partition look-ups: each indexed
-//! partition answers with its own strategy against its own tables, and
-//! every document of an unindexed partition is a candidate (the no-index
-//! scan, scoped to that partition). [`lookup_mixed`] returns the same
-//! [`QueryLookup`] shape as the single-strategy path, so everything
-//! downstream (fetch, evaluate, join, bill) is unchanged.
+//! Look-ups union per-home look-ups: each indexed home answers with its
+//! own strategy against its own tables, and every document routed to an
+//! unindexed home is a candidate (the no-index scan, scoped to those
+//! documents). [`lookup_mixed`] returns the same [`QueryLookup`] shape as
+//! the single-strategy [`crate::lookup_query`], so everything downstream
+//! (fetch, evaluate, join, bill) is shared.
 //!
-//! LUP-PD is deliberately not routable: its *fetch* side (storage-side
-//! scans instead of GETs) is a per-query-core decision, not a
-//! per-partition one, so a mixed plan rejects it.
+//! LUP-PD is a *fetch* choice (storage-side scans instead of GETs), made
+//! per query core, not an index layout: only the uniform LUP-PD plan
+//! carries it, and no partition can be assigned it.
 
 use crate::loadutil::{write_entries, DocIndexing};
 use crate::lookup::{lookup_pattern_in, LookupOutcome, QueryLookup, StrategyTables};
@@ -37,6 +43,7 @@ use crate::strategy::{
 use amada_cloud::{KvError, KvStore, SimTime};
 use amada_pattern::Query;
 use amada_xml::Document;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, OnceLock};
 
@@ -66,9 +73,7 @@ fn interned(name: String) -> &'static str {
 }
 
 /// The partition-local variant of a global table: `amada-index@hot` for
-/// (`amada-index`, `hot`). The root partition keeps the global name, so a
-/// plan that assigns only the root partition is physically identical to
-/// the paper's single-strategy layout.
+/// (`amada-index`, `hot`). The root partition keeps the global name.
 pub fn partition_table(base: &'static str, partition: &str) -> &'static str {
     if partition.is_empty() {
         base
@@ -86,7 +91,8 @@ pub fn partition_lookup_tables(partition: &str) -> StrategyTables {
     }
 }
 
-/// The physical tables `strategy` stores a partition's entries in.
+/// The physical tables `strategy` stores a partition's entries in, in the
+/// strategy's own table order.
 pub fn partition_tables(strategy: Strategy, partition: &str) -> Vec<&'static str> {
     strategy
         .tables()
@@ -95,19 +101,25 @@ pub fn partition_tables(strategy: Strategy, partition: &str) -> Vec<&'static str
         .collect()
 }
 
-/// Redirects freshly-extracted entries into their partition's tables.
-pub fn retarget_entries(entries: &mut [IndexEntry], partition: &str) {
-    if partition.is_empty() {
-        return;
+/// Freshly-extracted entries redirected into their home partition's
+/// tables. The root partition's entries already name the global tables,
+/// so they are borrowed, never copied.
+pub fn retarget_entries<'a>(entries: &'a [IndexEntry], home: &str) -> Cow<'a, [IndexEntry]> {
+    if home.is_empty() {
+        return Cow::Borrowed(entries);
     }
-    for e in entries {
-        e.table = partition_table(e.table, partition);
+    let mut routed = entries.to_vec();
+    for e in &mut routed {
+        e.table = partition_table(e.table, home);
     }
+    Cow::Owned(routed)
 }
 
 /// A per-partition strategy assignment: named partitions map to a
-/// strategy or to `None` ("index nothing, scan"); unnamed partitions fall
-/// back to the plan's default.
+/// strategy or to `None` ("index nothing, scan") and own their tables;
+/// every other partition takes the plan's default route into the global
+/// tables. The root partition *is* the default route: naming it sets the
+/// default.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MixedPlan {
     assignments: BTreeMap<String, Option<Strategy>>,
@@ -115,13 +127,9 @@ pub struct MixedPlan {
 }
 
 impl MixedPlan {
-    /// A plan whose every partition uses `default`.
+    /// A plan whose every partition uses `default` — the paper's layout
+    /// for `Some(strategy)`, the no-index baseline for `None`.
     pub fn uniform(default: Option<Strategy>) -> MixedPlan {
-        assert_ne!(
-            default,
-            Some(Strategy::LupPd),
-            "LUP-PD is a per-query-core fetch strategy, not routable per partition"
-        );
         MixedPlan {
             assignments: BTreeMap::new(),
             default,
@@ -134,14 +142,18 @@ impl MixedPlan {
         self
     }
 
-    /// Assigns a partition its strategy.
+    /// Assigns a partition its strategy; the root partition `""` sets the
+    /// default route.
     pub fn assign(&mut self, partition: &str, strategy: Option<Strategy>) {
-        assert_ne!(
-            strategy,
-            Some(Strategy::LupPd),
+        assert!(
+            strategy != Some(Strategy::LupPd) && !self.pushdown(),
             "LUP-PD is a per-query-core fetch strategy, not routable per partition"
         );
-        self.assignments.insert(partition.to_string(), strategy);
+        if partition.is_empty() {
+            self.default = strategy;
+        } else {
+            self.assignments.insert(partition.to_string(), strategy);
+        }
     }
 
     /// The strategy of a partition.
@@ -155,6 +167,29 @@ impl MixedPlan {
     /// The strategy routing a document.
     pub fn strategy_for_uri(&self, uri: &str) -> Option<Strategy> {
         self.strategy_of(partition_of(uri))
+    }
+
+    /// The partition whose tables hold a partition's entries: itself
+    /// when the plan names it, the root partition (the global tables) for
+    /// the default route.
+    pub fn home<'a>(&self, partition: &'a str) -> &'a str {
+        if self.assignments.contains_key(partition) {
+            partition
+        } else {
+            ""
+        }
+    }
+
+    /// The home partition of a document (see [`MixedPlan::home`]).
+    pub fn home_of<'a>(&self, uri: &'a str) -> &'a str {
+        self.home(partition_of(uri))
+    }
+
+    /// Where a document's entries live: its strategy and home partition,
+    /// or `None` when its route indexes nothing.
+    pub fn route<'a>(&self, uri: &'a str) -> Option<(Strategy, &'a str)> {
+        let home = self.home_of(uri);
+        self.strategy_of(home).map(|s| (s, home))
     }
 
     /// The default strategy of unnamed partitions.
@@ -174,6 +209,18 @@ impl MixedPlan {
         self.default.is_some() && self.assignments.values().all(Option::is_some)
     }
 
+    /// Whether any route carries an index; the empty plan's queries skip
+    /// the look-up phase and scan the corpus.
+    pub fn indexes_anything(&self) -> bool {
+        self.default.is_some() || self.assignments.values().any(Option::is_some)
+    }
+
+    /// Whether queries fetch candidates by storage-side scans: exactly
+    /// when the plan is the uniform LUP-PD plan.
+    pub fn pushdown(&self) -> bool {
+        self.default == Some(Strategy::LupPd)
+    }
+
     /// The distinct strategies any partition indexes with (for cache
     /// prewarming).
     pub fn indexed_strategies(&self) -> Vec<Strategy> {
@@ -190,9 +237,7 @@ impl MixedPlan {
         out
     }
 
-    /// Every table a *named* partition's strategy stores entries in
-    /// (unnamed partitions are discovered at write time and their tables
-    /// ensured on demand).
+    /// Every table the plan's routes store entries in.
     pub fn known_tables(&self) -> Vec<&'static str> {
         let mut out: BTreeSet<&'static str> = BTreeSet::new();
         for (partition, strategy) in &self.assignments {
@@ -207,10 +252,10 @@ impl MixedPlan {
     }
 }
 
-/// Indexes a document set under a mixed plan, sequentially (host-side
+/// Indexes a document set under a plan, sequentially (host-side
 /// convenience for the estimator, oracles and tests; the warehouse's
-/// loader pool routes per document the same way). Documents in unindexed
-/// partitions contribute nothing to the store.
+/// loader pool routes per document the same way). Documents on an
+/// unindexed route contribute nothing to the store.
 pub fn index_documents_mixed(
     store: &mut dyn KvStore,
     docs: &[Document],
@@ -220,12 +265,11 @@ pub fn index_documents_mixed(
     let mut total = DocIndexing::default();
     let mut t = SimTime::ZERO;
     for d in docs {
-        let partition = partition_of(d.uri());
-        let Some(strategy) = plan.strategy_of(partition) else {
+        let Some((strategy, home)) = plan.route(d.uri()) else {
             continue;
         };
-        let mut entries = extract(d, strategy, opts);
-        retarget_entries(&mut entries, partition);
+        let extracted = extract(d, strategy, opts);
+        let entries = retarget_entries(&extracted, home);
         let (m, ready) =
             write_entries(store, t, &entries, d.uri()).expect("mixed indexing must succeed");
         t = ready;
@@ -237,25 +281,28 @@ pub fn index_documents_mixed(
     total
 }
 
-/// Looks up a full query under a mixed plan: each indexed partition
-/// answers with its own strategy against its own tables. Partitions are
+/// Looks up a full query under a plan: each indexed home partition
+/// answers with its own strategy against its own tables. Homes are
 /// independent tables, so their look-ups for one pattern are issued
 /// *concurrently* in virtual time — each starts at the pattern's start
-/// time and the pattern completes when the slowest partition responds
+/// time and the pattern completes when the slowest home responds
 /// (round-trip latencies overlap; only the per-request service overheads
-/// serialise through the shared front door). Patterns still chain on one
-/// another like the per-pattern chain of [`crate::lookup_query`]. Every
-/// document of an unindexed partition is a candidate for every pattern —
-/// the no-index scan scoped to that partition. `corpus_uris` is the
-/// document listing; it determines which documents the scan partitions
-/// contribute. `catalog` names the partitions the front end knows exist
-/// without consulting the listing — the warehouse's own upload records,
-/// free host-side metadata like the plan itself. A fully indexed plan
-/// routes every partition to an index look-up and never needs the
-/// per-document listing, so its caller can pass an empty `corpus_uris`
-/// (skipping the billed LIST) as long as the catalog covers every
-/// partition that holds documents; a plan with scan partitions still
-/// needs the listing to enumerate their documents.
+/// serialise through the shared front door). Patterns chain on one
+/// another like the per-pattern chain of [`crate::lookup_query`]; under a
+/// uniform plan the one home is the root partition and the look-up issues
+/// exactly that chain's requests. Every document on an unindexed route
+/// is a candidate for every pattern — the no-index scan scoped to those
+/// documents.
+///
+/// `corpus_uris` is the document listing; it determines which documents
+/// the scan routes contribute. `catalog` names the partitions the front
+/// end knows exist without consulting the listing — the warehouse's own
+/// upload records, free host-side metadata like the plan itself. A fully
+/// indexed plan never needs the per-document listing, so its caller can
+/// pass an empty `corpus_uris` (skipping the billed LIST) as long as the
+/// catalog covers every partition that holds documents; a plan with scan
+/// routes still needs the listing to enumerate their documents. With
+/// neither, the root partition is looked up, as the paper's layout does.
 pub fn lookup_mixed(
     store: &mut dyn KvStore,
     now: SimTime,
@@ -265,45 +312,52 @@ pub fn lookup_mixed(
     corpus_uris: &[String],
     catalog: &BTreeSet<String>,
 ) -> Result<QueryLookup, KvError> {
-    // Partition the corpus listing once; catalog partitions exist even
-    // when the listing (or their slice of it) is empty.
-    let mut by_partition: BTreeMap<&str, Vec<&String>> = BTreeMap::new();
+    // Group the corpus listing by home once; catalog partitions exist
+    // even when the listing (or their slice of it) is empty.
+    let mut by_home: BTreeMap<&str, Vec<&String>> = BTreeMap::new();
     for partition in catalog {
-        by_partition.entry(partition.as_str()).or_default();
+        by_home.entry(plan.home(partition)).or_default();
     }
     for uri in corpus_uris {
-        by_partition.entry(partition_of(uri)).or_default().push(uri);
+        by_home.entry(plan.home_of(uri)).or_default().push(uri);
+    }
+    if by_home.is_empty() {
+        by_home.insert("", Vec::new());
     }
     let mut indexed: Vec<(&str, Strategy)> = Vec::new();
     let mut scanned: BTreeSet<String> = BTreeSet::new();
-    for (&partition, uris) in &by_partition {
-        match plan.strategy_of(partition) {
+    for (&home, uris) in &by_home {
+        match plan.strategy_of(home) {
             Some(s) => {
-                // The partition's tables may be empty (nothing indexed
-                // yet) but must exist for the look-up to run.
-                for t in partition_tables(s, partition) {
+                // The home's tables may be empty (nothing indexed yet)
+                // but must exist for the look-up to run.
+                for t in partition_tables(s, home) {
                     store.ensure_table(t);
                 }
-                indexed.push((partition, s));
+                indexed.push((home, s));
             }
             None => scanned.extend(uris.iter().map(|u| (*u).clone())),
         }
     }
 
     let mut per_pattern = Vec::with_capacity(query.patterns.len());
+    // Only document IDs the index returns count (Table 5); scan
+    // candidates are not look-up output.
+    let mut from_index = 0;
     let mut t = now;
     for p in &query.patterns {
         let mut uris: BTreeSet<String> = scanned.clone();
         let mut merged = LookupOutcome::default();
-        // Fan out: every partition's look-up is issued at the pattern's
-        // start time; the pattern is ready when the slowest responds.
+        // Fan out: every home's look-up is issued at the pattern's start
+        // time; the pattern is ready when the slowest responds.
         let mut ready = t;
-        for &(partition, strategy) in &indexed {
-            let tables = partition_lookup_tables(partition);
+        for &(home, strategy) in &indexed {
+            let tables = partition_lookup_tables(home);
             let outcome = lookup_pattern_in(store, t, strategy, opts, p, tables)?;
             ready = ready.max(outcome.ready_at);
             merged.entries_processed += outcome.entries_processed;
             merged.get_ops += outcome.get_ops;
+            from_index += outcome.uris.len();
             uris.extend(outcome.uris);
         }
         t = ready;
@@ -311,18 +365,7 @@ pub fn lookup_mixed(
         merged.uris = uris.into_iter().collect();
         per_pattern.push(merged);
     }
-    let mut uris: Vec<String> = per_pattern
-        .iter()
-        .flat_map(|o| o.uris.iter().cloned())
-        .collect();
-    uris.sort();
-    uris.dedup();
-    let total = per_pattern.iter().map(|o| o.uris.len()).sum();
-    Ok(QueryLookup {
-        per_pattern,
-        uris,
-        total_doc_ids: total,
-    })
+    Ok(QueryLookup::new(per_pattern, from_index))
 }
 
 #[cfg(test)]
@@ -380,6 +423,36 @@ mod tests {
     #[should_panic(expected = "LUP-PD")]
     fn pushdown_is_not_routable() {
         let _ = MixedPlan::uniform(None).with("hot", Some(Strategy::LupPd));
+    }
+
+    #[test]
+    #[should_panic(expected = "LUP-PD")]
+    fn a_pushdown_plan_takes_no_partition_assignments() {
+        let _ = MixedPlan::uniform(Some(Strategy::LupPd)).with("hot", Some(Strategy::Lu));
+    }
+
+    #[test]
+    fn pushdown_is_exactly_the_uniform_lup_pd_plan() {
+        assert!(MixedPlan::uniform(Some(Strategy::LupPd)).pushdown());
+        assert!(!MixedPlan::uniform(Some(Strategy::Lup)).pushdown());
+        assert!(!MixedPlan::uniform(None).indexes_anything());
+        assert!(MixedPlan::uniform(None)
+            .with("hot", Some(Strategy::Lu))
+            .indexes_anything());
+    }
+
+    #[test]
+    fn the_root_partition_is_the_default_route() {
+        let plan = MixedPlan::uniform(Some(Strategy::Lu))
+            .with("", Some(Strategy::Lui))
+            .with("hot", Some(Strategy::TwoLupi));
+        assert_eq!(plan.default_strategy(), Some(Strategy::Lui));
+        assert!(!plan.assignments().contains_key(""));
+        // Named partitions own their tables; everything else shares the
+        // global ones.
+        assert_eq!(plan.route("hot/a.xml"), Some((Strategy::TwoLupi, "hot")));
+        assert_eq!(plan.route("other/b.xml"), Some((Strategy::Lui, "")));
+        assert_eq!(plan.route("c.xml"), Some((Strategy::Lui, "")));
     }
 
     #[test]
@@ -441,7 +514,11 @@ mod tests {
         let q = parse_query("//painting[/name]").unwrap();
         let corpus: Vec<String> = docs.iter().map(|d| d.uri().to_string()).collect();
 
-        let plan = MixedPlan::uniform(Some(Strategy::Lu));
+        let plan = ["a", "b", "c"]
+            .into_iter()
+            .fold(MixedPlan::uniform(Some(Strategy::Lu)), |p, part| {
+                p.with(part, Some(Strategy::Lu))
+            });
         let mut store = DynamoDb::default();
         index_documents_mixed(&mut store, &docs, &plan, opts);
         let fanned = lookup_mixed(
@@ -483,38 +560,65 @@ mod tests {
     }
 
     #[test]
-    fn mixed_lookup_on_a_uniform_root_plan_matches_the_single_strategy_path() {
+    fn docs_from_index_counts_only_indexed_partitions() {
+        let docs = docs();
+        let plan = MixedPlan::uniform(Some(Strategy::TwoLupi)).with("cold", None);
+        let mut store = DynamoDb::default();
+        index_documents_mixed(&mut store, &docs, &plan, ExtractOptions::default());
+        let corpus: Vec<String> = docs.iter().map(|d| d.uri().to_string()).collect();
+        let q = parse_query("//painting[/name{contains(Hunt)}]").unwrap();
+        let lookup = lookup_mixed(
+            &mut store,
+            SimTime::ZERO,
+            &plan,
+            ExtractOptions::default(),
+            &q,
+            &corpus,
+            &BTreeSet::new(),
+        )
+        .unwrap();
+        // The scan partition's document is a candidate, but only the two
+        // hunts came out of the index.
+        assert_eq!(lookup.uris, vec!["cold/c.xml", "hot/a.xml", "hot/b.xml"]);
+        assert_eq!(lookup.total_doc_ids, 2);
+    }
+
+    #[test]
+    fn a_uniform_plan_matches_the_single_strategy_path_whatever_the_uris() {
         let docs: Vec<Document> = [
             ("a.xml", "<painting><name>Lion Hunt</name></painting>"),
-            ("b.xml", "<sculpture><name>Lion</name></sculpture>"),
+            ("hot/b.xml", "<sculpture><name>Lion</name></sculpture>"),
+            ("cold/c.xml", "<painting><name>Raft</name></painting>"),
         ]
         .into_iter()
         .map(|(u, x)| Document::parse_str(u, x).unwrap())
         .collect();
         let opts = ExtractOptions::default();
-        for strategy in Strategy::ALL {
+        let q = parse_query("//painting[/name]").unwrap();
+        let catalog: BTreeSet<String> = ["", "hot", "cold"].map(String::from).into();
+        for strategy in Strategy::ALL.into_iter().chain([Strategy::LupPd]) {
             let plan = MixedPlan::uniform(Some(strategy));
-            let mut mixed = DynamoDb::default();
-            index_documents_mixed(&mut mixed, &docs, &plan, opts);
-            let mut plain = DynamoDb::default();
-            crate::loadutil::index_documents(&mut plain, &docs, strategy, opts);
-            assert_eq!(mixed.peek_all(), plain.peek_all(), "{strategy:?}");
-
-            let corpus: Vec<String> = docs.iter().map(|d| d.uri().to_string()).collect();
-            let q = parse_query("//painting[/name]").unwrap();
-            let a = lookup_mixed(
-                &mut mixed,
-                SimTime::ZERO,
-                &plan,
-                opts,
-                &q,
-                &corpus,
-                &BTreeSet::new(),
-            )
-            .unwrap();
-            let b = crate::lookup_query(&mut plain, SimTime::ZERO, strategy, opts, &q).unwrap();
-            assert_eq!(a.uris, b.uris, "{strategy:?}");
-            assert_eq!(a.get_ops(), b.get_ops(), "{strategy:?}");
+            // With the catalog, and with nothing at all (the root
+            // partition is still looked up); fresh stores each time.
+            for catalog in [&catalog, &BTreeSet::new()] {
+                let mut mixed = DynamoDb::default();
+                index_documents_mixed(&mut mixed, &docs, &plan, opts);
+                let mut plain = DynamoDb::default();
+                let mut t = SimTime::ZERO;
+                for d in &docs {
+                    t = crate::index_document(&mut plain, t, d, strategy, opts)
+                        .unwrap()
+                        .1;
+                }
+                assert_eq!(mixed.peek_all(), plain.peek_all(), "{strategy:?}");
+                let a =
+                    lookup_mixed(&mut mixed, SimTime::ZERO, &plan, opts, &q, &[], catalog).unwrap();
+                let b = crate::lookup_query(&mut plain, SimTime::ZERO, strategy, opts, &q).unwrap();
+                assert_eq!(a.uris, b.uris, "{strategy:?}");
+                assert_eq!(a.get_ops(), b.get_ops(), "{strategy:?}");
+                assert_eq!(a.ready_at(), b.ready_at(), "{strategy:?}");
+                assert_eq!(a.total_doc_ids, b.total_doc_ids, "{strategy:?}");
+            }
         }
     }
 }

@@ -192,7 +192,7 @@ fn mid_replace_crash_converges_to_the_new_version() {
         let mut core = LoaderCore::new(
             engine.world.ec2.launch(InstanceType::Large, start),
             2.0,
-            cfg.strategy,
+            Rc::new(cfg.plan.clone()),
             cfg.extract,
             totals.clone(),
             cache.clone(),

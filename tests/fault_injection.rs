@@ -3,7 +3,7 @@
 //! the faults-off identity guarantee.
 
 use amada::cloud::{FaultConfig, InstanceType, Money, SimDuration, Sqs, SqsError};
-use amada::index::Strategy;
+use amada::index::{MixedPlan, Strategy};
 use amada::warehouse::{Warehouse, WarehouseConfig};
 use amada::xmark::{generate_corpus, workload_query, CorpusConfig};
 use amada_core::actors::{DocCache, LoaderCore, LoaderTotals};
@@ -97,7 +97,7 @@ fn mid_upload_crash_rewrites_the_index_idempotently() {
         LoaderCore::new(
             engine.world.ec2.launch(InstanceType::Large, start),
             2.0,
-            vis_cfg.strategy,
+            Rc::new(vis_cfg.plan.clone()),
             vis_cfg.extract,
             totals.clone(),
             cache.clone(),
@@ -281,7 +281,7 @@ fn throttled_scans_are_billed_stateless_and_answers_identical() {
     clean.build_index();
 
     let mut cfg = faulty_config(0.08);
-    cfg.strategy = Strategy::LupPd;
+    cfg.plan = MixedPlan::uniform(Some(Strategy::LupPd));
     let mut faulty = Warehouse::new(cfg);
     upload(&mut faulty, &docs);
     faulty.build_index();

@@ -45,7 +45,7 @@ fn loader_crash_is_recovered_through_lease_expiry() {
         let mut core = LoaderCore::new(
             engine.world.ec2.launch(InstanceType::Large, start),
             2.0,
-            cfg.strategy,
+            Rc::new(cfg.plan.clone()),
             cfg.extract,
             totals.clone(),
             cache.clone(),
@@ -116,8 +116,7 @@ fn query_processor_crash_is_recovered() {
         instance: engine.world.ec2.launch(InstanceType::Large, t),
         cores: 2,
         ecu: 2.0,
-        strategy: Some(Strategy::Lu),
-        plan: None,
+        plan: Rc::new(cfg.plan.clone()),
         partitions: Rc::default(),
         opts: cfg.extract,
         cache: cache.clone(),
